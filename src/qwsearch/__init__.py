@@ -42,6 +42,7 @@ from .evolution import (
     DenseReference,
     EvolutionTrace,
     amplitude,
+    amplitudes,
     default_time_horizon,
     dense_oracle,
     find_optimal_time,
@@ -77,7 +78,7 @@ __all__ = [
     "ConstantEntry", "DivergenceError", "NoRootError", "build_constant_table",
     "epstein_sum", "green_integral", "green_integral_bruteforce", "inverse_energy_sum",
     "log_law_fit", "log_law_intercept", "scaling_function", "scaling_function_root",
-    "DenseReference", "EvolutionTrace", "amplitude", "default_time_horizon",
+    "DenseReference", "EvolutionTrace", "amplitude", "amplitudes", "default_time_horizon",
     "dense_oracle", "find_optimal_time", "trace",
     "GraphFamily", "LevelSpectrum", "dispersion", "dispersion_values", "level_spectrum",
     "momentum_axis", "momentum_grid", "neg_laplacian",

@@ -23,7 +23,7 @@ from .constants import (
     log_law_intercept,
     scaling_function_root,
 )
-from .evolution import default_time_horizon, find_optimal_time, spectral_coefficients
+from .evolution import OPTIMAL_TIME_GRID, amplitudes, default_time_horizon, find_optimal_time
 from .graphs import GraphFamily, LevelSpectrum, level_spectrum
 from .secular import lowest_two, solve_spectrum
 
@@ -203,9 +203,8 @@ def verify_transition_bounds(graph: GraphFamily, gamma: float) -> BoundReport:
     n = graph.num_vertices
     slack = SLACK_D2 if d == 2 else SLACK_SMALL_TERMS
     spectrum = level_spectrum(graph)
-    e0, e1, fp0, fp1 = lowest_two(spectrum, gamma)
-    s0 = 1.0 / (n * e0 * e0 * fp0)
-    s1 = 1.0 / (n * e1 * e1 * fp1)
+    rec = _two_level_record(spectrum, gamma)
+    e0, e1, s0, s1 = rec.e0, rec.e1, rec.overlap_s_psi0, rec.overlap_s_psi1
     s2_sum = inverse_energy_sum(2, d, side) * n      # sum_{k != 0} E_k^-2
     checks = []
     if gamma > gamma_ref:
@@ -271,9 +270,8 @@ def verify_failure_bounds(graph: GraphFamily, gamma: float,
     slack = SLACK_D2 if d == 2 else SLACK_SMALL_TERMS
     spec = solve_spectrum(level_spectrum(graph), gamma)
     if t_grid is None:
-        t_grid = np.linspace(0.0, default_time_horizon(n), 2048)
-    coeffs = spectral_coefficients(spec)
-    max_amp = float(np.max(np.abs(np.exp(-1j * np.outer(t_grid, spec.energies)) @ coeffs)))
+        t_grid = np.linspace(0.0, default_time_horizon(n), OPTIMAL_TIME_GRID)
+    max_amp = float(np.max(np.abs(amplitudes(spec, t_grid))))
     e0 = spec.energies[0]
     sqrt_n = math.sqrt(n)
     checks = [_check("amp-global", max_amp, 2.0 * sqrt_n * abs(e0), 1.0)]
@@ -387,9 +385,8 @@ def subcritical_scaling(d: int, sides: list[int]) -> SubcriticalReport:
         gc = find_critical_gamma(graph)
         spec = solve_spectrum(spectrum, gc)
         horizon = default_time_horizon(n)
-        t_grid = np.linspace(0.0, horizon, 2048)
-        coeffs = spectral_coefficients(spec)
-        max_amp = float(np.max(np.abs(np.exp(-1j * np.outer(t_grid, spec.energies)) @ coeffs)))
+        t_grid = np.linspace(0.0, horizon, OPTIMAL_TIME_GRID)
+        max_amp = float(np.max(np.abs(amplitudes(spec, t_grid))))
         t_star, p_star = find_optimal_time(spec, horizon)
         records.append(ScalingRecord(
             num_vertices=n, gamma_used=gc, gap=float(spec.energies[1] - spec.energies[0]),

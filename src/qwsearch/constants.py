@@ -33,7 +33,7 @@ from scipy.signal import fftconvolve
 from scipy.special import i0e
 
 from ._util import compensated_sum
-from .graphs import dispersion_values
+from .graphs import GraphFamily, level_spectrum
 
 QUAD_UPPER = 2000.0          # switchover from quadrature to the asymptotic tail
 EPSTEIN_TARGET = 1e-7        # radius doubling stops below this drift
@@ -81,24 +81,9 @@ def green_integral(j: int, d: int) -> float:
 
 def inverse_energy_sum(j: int, d: int, side: int) -> float:
     """Exact finite sum (1/N) sum_{k != 0} E(k)^-j on the side^d torus."""
-    if side < 2:
-        raise ValueError(f"side must be >= 2, got {side}")
-    n = side**d
-    if n <= 1 << 23:
-        e = dispersion_values(d, side)
-        e = e[e > 0.0]
-        return float(np.sum(e ** (-float(j)))) / n
-    # Chunk over the leading axis so d=3 scaling studies stay in memory.
-    axis_cos = np.cos(2.0 * np.pi * np.arange(side) / side)
-    inner = np.zeros(1)
-    for _ in range(d - 1):
-        inner = (inner[:, None] + axis_cos[None, :]).ravel()
-    partials = []
-    for c in axis_cos:
-        e = 2.0 * (d - (inner + c))
-        e = e[e > 0.0]
-        partials.append(float(np.sum(e ** (-float(j)))))
-    return compensated_sum(np.asarray(partials)) / n
+    levels = level_spectrum(GraphFamily.lattice(d, side))
+    terms = levels.multiplicities[1:] * levels.energies[1:] ** (-float(j))
+    return compensated_sum(terms) / levels.num_vertices
 
 
 def green_integral_bruteforce(j: int, d: int, side: int) -> float:

@@ -24,6 +24,8 @@ from .secular import SecularSpectrum
 
 DEFAULT_ORACLE_CAP = 4096
 OPTIMAL_TIME_GRID = 2048
+# Most complex entries of exp(-i E_a t) one block of amplitudes() holds (4 MB).
+AMPLITUDE_BLOCK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -39,10 +41,20 @@ def spectral_coefficients(spec: SecularSpectrum) -> np.ndarray:
     return -1.0 / (np.sqrt(spec.num_vertices) * spec.energies * spec.fprimes)
 
 
+def amplitudes(spec: SecularSpectrum, times) -> np.ndarray:
+    """Success amplitudes on a 1-d array of times, in blocks of AMPLITUDE_BLOCK terms."""
+    times = np.asarray(times, dtype=float)
+    coeffs = spectral_coefficients(spec)
+    rows = max(1, AMPLITUDE_BLOCK // spec.num_roots)
+    amps = np.empty(len(times), dtype=complex)
+    for i in range(0, len(times), rows):
+        amps[i:i + rows] = np.exp(-1j * np.outer(times[i:i + rows], spec.energies)) @ coeffs
+    return amps
+
+
 def amplitude(spec: SecularSpectrum, t: float) -> complex:
     """Success amplitude at time t (units of the inverse oracle strength)."""
-    coeffs = spectral_coefficients(spec)
-    return complex(np.sum(coeffs * np.exp(-1j * spec.energies * t)))
+    return complex(amplitudes(spec, [t])[0])
 
 
 def trace(spec: SecularSpectrum, t_max: float, num_points: int) -> EvolutionTrace:
@@ -52,8 +64,7 @@ def trace(spec: SecularSpectrum, t_max: float, num_points: int) -> EvolutionTrac
     if num_points < 2:
         raise ValueError(f"need at least 2 time points, got {num_points}")
     times = np.linspace(0.0, float(t_max), int(num_points))
-    coeffs = spectral_coefficients(spec)
-    amps = np.exp(-1j * np.outer(times, spec.energies)) @ coeffs
+    amps = amplitudes(spec, times)
     probs = np.abs(amps) ** 2
     for arr in (times, amps, probs):
         arr.setflags(write=False)
@@ -67,18 +78,13 @@ def find_optimal_time(spec: SecularSpectrum, t_max: float, grid_points: int = OP
     """
     if t_max <= 0.0:
         raise ValueError(f"t_max must be positive, got {t_max}")
-    coeffs = spectral_coefficients(spec)
-    energies = spec.energies
     times = np.linspace(0.0, float(t_max), int(grid_points))
-    probs = np.abs(np.exp(-1j * np.outer(times, energies)) @ coeffs) ** 2
+    probs = np.abs(amplitudes(spec, times)) ** 2
     i = int(np.argmax(probs))
-
-    def prob(t: float) -> float:
-        return abs(np.sum(coeffs * np.exp(-1j * energies * t))) ** 2
-
     lo = times[max(0, i - 1)]
     hi = times[min(len(times) - 1, i + 1)]
-    t_star, p_star = golden_section_max(prob, lo, hi, rel_width=1e-6)
+    t_star, p_star = golden_section_max(lambda t: abs(amplitude(spec, t)) ** 2, lo, hi,
+                                        rel_width=1e-6)
     if probs[i] > p_star:
         t_star, p_star = float(times[i]), float(probs[i])
     return float(t_star), float(p_star)

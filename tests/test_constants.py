@@ -19,6 +19,7 @@ from qwsearch import (
     scaling_function_root,
 )
 from qwsearch.constants import SCALING_RADIUS
+from qwsearch.graphs import dispersion_values
 
 # Published 3-digit table for the convergent integrals.  The (2, 5) entry is
 # not reproducible from the defining integral: quadrature and finite-lattice
@@ -132,6 +133,16 @@ def test_epstein_divergence():
 def test_inverse_energy_sum_tiny_ring():
     # d=1, side 2: the only nonzero mode sits at energy 4
     assert inverse_energy_sum(1, 1, 2) == pytest.approx(0.125, abs=1e-15)
+
+
+@pytest.mark.parametrize("j,d,side", [
+    (1, 3, 8), (2, 5, 8), (1, 2, 64), (2, 2, 32), (2, 4, 16), (1, 5, 16),
+    (2, 3, 40), (1, 4, 32), (2, 3, 128), (2, 2, 1024),
+])
+def test_inverse_energy_sum_matches_bruteforce(j, d, side):
+    e = dispersion_values(d, side)
+    brute = math.fsum((e[e > 0.0] ** (-float(j))).tolist()) / side**d
+    assert inverse_energy_sum(j, d, side) == pytest.approx(brute, rel=1e-12, abs=0.0)
 
 
 def test_inverse_energy_sum_log_law_d2():

@@ -18,13 +18,14 @@ from qwsearch import (
     DenseReference,
     GraphFamily,
     amplitude,
+    amplitudes,
     default_time_horizon,
     dense_oracle,
     find_optimal_time,
     green_integral,
     trace,
 )
-from qwsearch.evolution import spectral_coefficients
+from qwsearch.evolution import AMPLITUDE_BLOCK, spectral_coefficients
 
 
 def test_amplitude_at_zero_is_root_n():
@@ -50,6 +51,18 @@ def test_amplitude_matches_dense_16():
     spec = solved("lattice:2:4", 1.0)
     ref = dense("lattice:2:4", 1.0, 0)
     assert abs(amplitude(spec, 1.0) - ref.amplitude(1.0)) < 1e-10
+
+
+def test_amplitude_grid_spans_blocks():
+    spec = solved("lattice:2:16", 1.0)
+    rows = AMPLITUDE_BLOCK // spec.num_roots
+    times = np.linspace(0.0, 300.0, 3 * rows + 17)
+    amps = amplitudes(spec, times)
+    unblocked = np.exp(-1j * np.outer(times, spec.energies)) @ spectral_coefficients(spec)
+    assert np.max(np.abs(amps - unblocked)) <= 1e-15
+    for i in sorted({0, rows - 1, rows, 2 * rows, 3 * rows, len(times) - 1,
+                     *range(0, len(times), 997)}):
+        assert abs(amps[i] - amplitude(spec, float(times[i]))) <= 1e-14
 
 
 def test_trace_grid_and_endpoints():

@@ -1,3 +1,6 @@
+import itertools
+
+import mpmath
 import numpy as np
 import pytest
 
@@ -12,6 +15,7 @@ from qwsearch import (
     momentum_grid,
     neg_laplacian,
 )
+from qwsearch.graphs import LEVEL_GROUP_TOL
 
 
 def test_dispersion_zero_mode():
@@ -60,7 +64,7 @@ def test_level_spectrum_complete_4():
 
 def test_level_spectrum_lattice_2_4():
     ls = level_spectrum(GraphFamily.lattice(2, 4))
-    assert np.allclose(ls.energies, [0.0, 2.0, 4.0, 6.0, 8.0], atol=1e-12)
+    assert ls.energies.tolist() == [0.0, 2.0, 4.0, 6.0, 8.0]
     assert ls.multiplicities.tolist() == [1, 4, 6, 4, 1]
 
 
@@ -112,6 +116,43 @@ def test_levels_are_dispersion_image(dim, side):
     sampled = sorted({round(dispersion(m, dim, side), 7) for m in grid})
     assert len(sampled) == ls.num_levels
     assert np.allclose(sampled, ls.energies, atol=1e-6)
+
+
+def _sorted_split_levels(dim, side):
+    """Brute force: sort all N dispersion values, split at the level tolerance."""
+    values = np.sort(dispersion_values(dim, side))
+    starts = np.flatnonzero(np.r_[True, np.diff(values) > LEVEL_GROUP_TOL * 4.0 * dim])
+    counts = np.diff(np.r_[starts, len(values)])
+    return np.add.reduceat(values, starts) / counts, counts
+
+
+@pytest.mark.parametrize("dim,side", [
+    (1, 2), (2, 2), (3, 2), (4, 2), (7, 2), (10, 2),
+    (6, 3), (7, 3), (8, 3), (9, 3), (10, 3), (6, 4), (8, 4),
+    (5, 8), (4, 16), (2, 64), (3, 32), (5, 16), (4, 32), (3, 64), (2, 256),
+    (2, 1024), (3, 128),
+])
+def test_level_spectrum_matches_sorted_dispersion(dim, side):
+    energies, counts = _sorted_split_levels(dim, side)
+    ls = level_spectrum(GraphFamily.lattice(dim, side))
+    assert ls.multiplicities.tolist() == counts.tolist()
+    assert np.max(np.abs(ls.energies - energies)) <= 1e-12
+
+
+def _distinct_level_count(dim, side, dps=30):
+    """Distinct sums of dim per-axis energies, told apart at 30 digits."""
+    with mpmath.workdps(dps):
+        axis = [2 * (1 - mpmath.cos(2 * mpmath.pi * m / side)) for m in range(side // 2 + 1)]
+        sums = sorted(mpmath.fsum(c) for c in itertools.combinations_with_replacement(axis, dim))
+        # exact identities such as cos(pi/2) + cos(pi/2) = cos(0) + cos(pi) agree to ~1e-30
+        tie = mpmath.mpf(10) ** (10 - dps)
+        return 1 + sum(1 for a, b in zip(sums, sums[1:]) if b - a > tie)
+
+
+@pytest.mark.parametrize("dim,side", [(2, 512), (3, 64)])
+def test_level_count_matches_extended_precision(dim, side):
+    assert level_spectrum(GraphFamily.lattice(dim, side)).num_levels == \
+        _distinct_level_count(dim, side)
 
 
 @pytest.mark.parametrize("label", [
