@@ -18,12 +18,18 @@ import numpy as np
 from ._util import golden_section_min
 from .constants import (
     NoRootError,
+    _level_inverse_sum,
     green_integral,
-    inverse_energy_sum,
     log_law_intercept,
     scaling_function_root,
 )
-from .evolution import OPTIMAL_TIME_GRID, amplitudes, default_time_horizon, find_optimal_time
+from .evolution import (
+    OPTIMAL_TIME_GRID,
+    _grid_optimum,
+    amplitudes,
+    default_time_horizon,
+    find_optimal_time,
+)
 from .graphs import GraphFamily, LevelSpectrum, level_spectrum
 from .secular import lowest_two, solve_spectrum
 
@@ -199,13 +205,13 @@ def verify_transition_bounds(graph: GraphFamily, gamma: float) -> BoundReport:
     the energy bound (slack squared).
     """
     gamma_ref, margin = _require_clear_of_critical(graph, gamma)
-    d, side = graph.dim, graph.side
+    d = graph.dim
     n = graph.num_vertices
     slack = SLACK_D2 if d == 2 else SLACK_SMALL_TERMS
     spectrum = level_spectrum(graph)
     rec = _two_level_record(spectrum, gamma)
     e0, e1, s0, s1 = rec.e0, rec.e1, rec.overlap_s_psi0, rec.overlap_s_psi1
-    s2_sum = inverse_energy_sum(2, d, side) * n      # sum_{k != 0} E_k^-2
+    s2_sum = _level_inverse_sum(spectrum, 2) * n      # sum_{k != 0} E_k^-2
     checks = []
     if gamma > gamma_ref:
         branch = "above"
@@ -386,8 +392,9 @@ def subcritical_scaling(d: int, sides: list[int]) -> SubcriticalReport:
         spec = solve_spectrum(spectrum, gc)
         horizon = default_time_horizon(n)
         t_grid = np.linspace(0.0, horizon, OPTIMAL_TIME_GRID)
-        max_amp = float(np.max(np.abs(amplitudes(spec, t_grid))))
-        t_star, p_star = find_optimal_time(spec, horizon)
+        amps = amplitudes(spec, t_grid)
+        max_amp = float(np.max(np.abs(amps)))
+        t_star, p_star = _grid_optimum(spec, t_grid, amps)
         records.append(ScalingRecord(
             num_vertices=n, gamma_used=gc, gap=float(spec.energies[1] - spec.energies[0]),
             t_star=t_star, p_star=p_star, runtime_metric=t_star / p_star,

@@ -33,7 +33,7 @@ from scipy.signal import fftconvolve
 from scipy.special import i0e
 
 from ._util import compensated_sum
-from .graphs import GraphFamily, level_spectrum
+from .graphs import GraphFamily, LevelSpectrum, level_spectrum
 
 QUAD_UPPER = 2000.0          # switchover from quadrature to the asymptotic tail
 EPSTEIN_TARGET = 1e-7        # radius doubling stops below this drift
@@ -81,7 +81,11 @@ def green_integral(j: int, d: int) -> float:
 
 def inverse_energy_sum(j: int, d: int, side: int) -> float:
     """Exact finite sum (1/N) sum_{k != 0} E(k)^-j on the side^d torus."""
-    levels = level_spectrum(GraphFamily.lattice(d, side))
+    return _level_inverse_sum(level_spectrum(GraphFamily.lattice(d, side)), j)
+
+
+def _level_inverse_sum(levels: LevelSpectrum, j: int) -> float:
+    """(1/N) sum_{k != 0} m_k E_k^-j over already built levels."""
     terms = levels.multiplicities[1:] * levels.energies[1:] ** (-float(j))
     return compensated_sum(terms) / levels.num_vertices
 

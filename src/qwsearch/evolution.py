@@ -79,7 +79,12 @@ def find_optimal_time(spec: SecularSpectrum, t_max: float, grid_points: int = OP
     if t_max <= 0.0:
         raise ValueError(f"t_max must be positive, got {t_max}")
     times = np.linspace(0.0, float(t_max), int(grid_points))
-    probs = np.abs(amplitudes(spec, times)) ** 2
+    return _grid_optimum(spec, times, amplitudes(spec, times))
+
+
+def _grid_optimum(spec: SecularSpectrum, times: np.ndarray, amps: np.ndarray):
+    """find_optimal_time from the amplitudes already evaluated on its grid."""
+    probs = np.abs(amps) ** 2
     i = int(np.argmax(probs))
     lo = times[max(0, i - 1)]
     hi = times[min(len(times) - 1, i + 1)]

@@ -27,12 +27,11 @@ from .graphs import LevelSpectrum
 
 _EPS = float(np.finfo(float).eps)
 
-# Bisection runs until the bracket shrinks to this fraction of its initial
-# span; safeguarded Newton then polishes to machine precision.
-_BISECT_REL = 1e-13
-# Pole-adjacent brackets start this fraction of the local level gap inside
-# each pole and shrink geometrically toward it if the sign condition fails.
-_EDGE_REL = 1e-12
+# Most float64 entries one row block of the secular kernel holds (512 KB),
+# unless a single row of K entries is larger.
+_BLOCK = 1 << 16
+# Newton steps a root may take before the kernel reports non-convergence.
+_MAX_ITER = 64
 
 
 class SecularPoleError(ValueError):
@@ -40,7 +39,7 @@ class SecularPoleError(ValueError):
 
 
 class BracketError(RuntimeError):
-    """A root bracket could not establish the required sign change."""
+    """The secular kernel did not converge in a root bracket."""
 
 
 @dataclass(frozen=True)
@@ -72,102 +71,112 @@ def _pole_guard(poles: np.ndarray, energy: float) -> None:
         )
 
 
-def _value(poles: np.ndarray, mult: np.ndarray, n: int, energy: float) -> float:
-    diffs = poles - energy
-    order = np.argsort(-np.abs(diffs))  # farthest pole (smallest term) first
-    return compensated_sum(mult[order] / diffs[order]) / n
-
-
-def _derivative(poles: np.ndarray, mult: np.ndarray, n: int, energy: float) -> float:
-    diffs = poles - energy
-    order = np.argsort(-np.abs(diffs))
-    return compensated_sum(mult[order] / diffs[order] ** 2) / n
-
-
 def secular_value(spectrum: LevelSpectrum, gamma: float, energy: float) -> float:
-    """F(E); strictly increasing on every pole-free interval, -> 0 as E -> +-inf."""
+    """F(E); strictly increasing on every pole-free interval, -> 0 as E -> +-inf.
+
+    Summed exactly, farthest pole first; this is the reference evaluation.
+    """
     poles = gamma * spectrum.energies
     _pole_guard(poles, energy)
-    return _value(poles, spectrum.multiplicities.astype(float), spectrum.num_vertices, energy)
+    diffs = poles - energy
+    order = np.argsort(-np.abs(diffs))
+    return compensated_sum(spectrum.multiplicities[order] / diffs[order]) / spectrum.num_vertices
 
 
 def secular_derivative(spectrum: LevelSpectrum, gamma: float, energy: float) -> float:
     """F'(E); positive everywhere and at least 1/(N E^2) from the level at 0."""
     poles = gamma * spectrum.energies
     _pole_guard(poles, energy)
-    return _derivative(poles, spectrum.multiplicities.astype(float), spectrum.num_vertices, energy)
+    diffs = poles - energy
+    order = np.argsort(-np.abs(diffs))
+    return compensated_sum(spectrum.multiplicities[order] / diffs[order] ** 2) / spectrum.num_vertices
 
 
-def _refine(poles, mult, n, lo, hi) -> float:
-    """Bisection to a relative-width floor, then safeguarded Newton."""
-    f_target = 1.0
-    span = hi - lo
-    while (hi - lo) > _BISECT_REL * span:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if _value(poles, mult, n, mid) >= f_target:
-            hi = mid
-        else:
-            lo = mid
-    e = 0.5 * (lo + hi)
-    for _ in range(12):
-        fv = _value(poles, mult, n, e) - f_target
-        if fv >= 0.0:
-            hi = min(hi, e)
-        else:
-            lo = max(lo, e)
-        fp = _derivative(poles, mult, n, e)
-        step = -fv / fp
-        nxt = e + step
-        if not lo < nxt < hi:
-            nxt = 0.5 * (lo + hi)
-        if abs(nxt - e) <= 2.0 * _EPS * max(abs(e), 1e-300):
-            e = nxt
-            break
-        e = nxt
-    return e
+def _solve_brackets(spectrum: LevelSpectrum, gamma: float, brackets) -> tuple[np.ndarray, np.ndarray]:
+    """Roots of F(E) = 1 and F' there, one per bracket index.
+
+    Bracket 0 is (-inf, 0); bracket i > 0 is (gamma*E_{i-1}, gamma*E_i).
+    Rows are solved in blocks of at most _BLOCK entries (one row when K is
+    larger), and no row's arithmetic depends on the other rows, so a root
+    comes out the same whichever brackets are solved with it.
+    """
+    levels = spectrum.energies
+    mult = spectrum.multiplicities.astype(float)
+    brackets = np.asarray(brackets, dtype=int)
+    roots = np.empty(len(brackets))
+    fprimes = np.empty(len(brackets))
+    rows = max(1, _BLOCK // len(levels))
+    for i in range(0, len(brackets), rows):
+        block = slice(i, i + rows)
+        roots[block], fprimes[block] = _solve_block(
+            levels, mult, spectrum.num_vertices, gamma, brackets[block])
+    return roots, fprimes
 
 
-def _ground_bracket(poles, mult, n):
-    # F(E) <= 1/|E| for E < 0, so any lower end below -1 is on the F < 1 side;
-    # F(-1/(2N)) >= 2 pins the other side because |E_0| > 1/N always.
-    lo = -poles[-1] - 1.0
-    while _value(poles, mult, n, lo) >= 1.0:
-        lo *= 2.0
-    hi = -0.5 / n
-    return lo, hi
+def _solve_block(levels, mult, n, gamma, brackets):
+    """One row block of _solve_brackets.
 
-
-def _interval_bracket(poles, mult, n, i):
-    a, b = poles[i], poles[i + 1]
-    h = b - a
-    ea = max(_EDGE_REL * h, 64.0 * _EPS * abs(a))
-    eb = max(_EDGE_REL * h, 64.0 * _EPS * abs(b))
-    floor_a = 8.0 * _EPS * abs(a)
-    floor_b = 8.0 * _EPS * abs(b)
-    # Roots may sit extremely close to either pole when their weight is tiny;
-    # walk the endpoint geometrically toward the pole until the sign flips.
-    while _value(poles, mult, n, a + ea) >= 1.0:
-        ea *= 0.25
-        if ea <= floor_a:
-            raise BracketError(
-                f"no sign change above pole {a!r}; level grouping is suspect"
-            )
-    while _value(poles, mult, n, b - eb) < 1.0:
-        eb *= 0.25
-        if eb <= floor_b:
-            raise BracketError(
-                f"no sign change below pole {b!r}; level grouping is suspect"
-            )
-    return a + ea, b - eb
-
-
-def _weights(poles, mult, n, roots: np.ndarray):
-    fprimes = np.array([_derivative(poles, mult, n, e) for e in roots])
-    w = 1.0 / fprimes
-    s = 1.0 / (n * roots**2 * fprimes)
-    return fprimes, w, s
+    Each root is an offset tau from its nearer pole gamma*E_o, and the other
+    poles sit at delta_k = gamma*(E_k - E_o).  Subtracting before scaling
+    keeps every pole distance within two roundings, and the own-pole term of
+    F is exactly -m_o/(N tau).  Newton runs on H(tau) = tau*(R(tau) - 1) - m_o/N,
+    R being F without the own-pole term; H is nearly linear near the pole.
+    Steps that leave the sign bracket of tau are replaced by bisection.
+    """
+    own = brackets.copy()
+    inner = brackets > 0
+    # The sign of F - 1 at each interval midpoint names the nearer pole.
+    centre = 0.5 * (levels[own[inner] - 1] + levels[own[inner]])
+    f_mid = (mult / (gamma * (levels - centre[:, None]))).sum(axis=1) / n
+    own[inner] -= f_mid >= 1.0
+    delta = gamma * (levels - levels[own][:, None])
+    # tau lies between the own pole and the interval midpoint; the ground
+    # root lies in (-1, -1/N) because F(-1) < 1 < F(-1/N).
+    other = np.where(own < brackets, brackets, np.maximum(brackets - 1, 0))
+    half = 0.5 * delta[np.arange(len(own)), other]
+    lo = np.where(inner, np.minimum(half, 0.0), -1.0)
+    hi = np.where(inner, np.maximum(half, 0.0), -1.0 / n)
+    sign = np.where(hi > 0.0, 1.0, -1.0)     # the sign of tau, fixed per row
+    own_term = mult[own] / n
+    out_tau = np.empty(len(own))
+    out_fp = np.empty(len(own))
+    live, col = np.arange(len(own)), own
+    nxt = 0.5 * (lo + hi)
+    for _ in range(_MAX_ITER):
+        tau = nxt
+        diff = delta - tau[:, None]
+        terms = mult / diff
+        terms[np.arange(len(live)), col] = 0.0
+        r = terms.sum(axis=1) / n
+        spread = np.abs(terms).sum(axis=1) / n
+        rp = (terms / diff).sum(axis=1) / n
+        h = tau * (r - 1.0) - own_term
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = -h / (r - 1.0 + tau * rp)
+        # Stop, keeping tau, once |H| is within its rounding bound or the
+        # step is down to the last bits of tau.
+        done = ((np.abs(h) <= 8.0 * _EPS * (np.abs(tau) * (spread + 1.0) + own_term))
+                | (np.abs(step) <= 4.0 * _EPS * np.abs(tau)))
+        out_tau[live[done]] = tau[done]
+        out_fp[live[done]] = rp[done] + own_term[done] / tau[done] ** 2
+        above = sign * h >= 0.0
+        hi = np.where(above, tau, hi)
+        lo = np.where(above, lo, tau)
+        nxt = tau + step
+        nxt = np.where((lo < nxt) & (nxt < hi), nxt, 0.5 * (lo + hi))
+        if done.all():
+            return gamma * levels[own] + out_tau, out_fp
+        if done.any():
+            keep = ~done
+            live, col, delta, own_term, sign, lo, hi, tau, h, nxt = (
+                a[keep] for a in (live, col, delta, own_term, sign, lo, hi, tau, h, nxt))
+    b = int(brackets[live[0]])
+    poles = (-np.inf, 0.0) if b == 0 else (gamma * levels[b - 1], gamma * levels[b])
+    raise BracketError(
+        f"secular kernel did not converge in {_MAX_ITER} steps at gamma={gamma!r}: "
+        f"bracket {b} ({poles[0]!r}, {poles[1]!r}), last tau={float(tau[0])!r} "
+        f"with |H|={abs(float(h[0]))!r}"
+    )
 
 
 def solve_spectrum(spectrum: LevelSpectrum, gamma: float) -> SecularSpectrum:
@@ -179,14 +188,10 @@ def solve_spectrum(spectrum: LevelSpectrum, gamma: float) -> SecularSpectrum:
     """
     if gamma <= 0.0:
         raise ValueError(f"gamma must be positive, got {gamma}")
-    poles = gamma * spectrum.energies
-    mult = spectrum.multiplicities.astype(float)
     n = spectrum.num_vertices
-    roots = [_refine(poles, mult, n, *_ground_bracket(poles, mult, n))]
-    for i in range(len(poles) - 1):
-        roots.append(_refine(poles, mult, n, *_interval_bracket(poles, mult, n, i)))
-    roots = np.asarray(roots)
-    fprimes, w, s = _weights(poles, mult, n, roots)
+    roots, fprimes = _solve_brackets(spectrum, gamma, np.arange(spectrum.num_levels))
+    w = 1.0 / fprimes
+    s = 1.0 / (n * roots**2 * fprimes)
     for arr in (roots, fprimes, w, s):
         arr.setflags(write=False)
     return SecularSpectrum(
@@ -208,12 +213,8 @@ def lowest_two(spectrum: LevelSpectrum, gamma: float):
     """
     if gamma <= 0.0:
         raise ValueError(f"gamma must be positive, got {gamma}")
-    poles = gamma * spectrum.energies
-    mult = spectrum.multiplicities.astype(float)
-    n = spectrum.num_vertices
-    e0 = _refine(poles, mult, n, *_ground_bracket(poles, mult, n))
-    e1 = _refine(poles, mult, n, *_interval_bracket(poles, mult, n, 0))
-    return e0, e1, _derivative(poles, mult, n, e0), _derivative(poles, mult, n, e1)
+    (e0, e1), (fp0, fp1) = _solve_brackets(spectrum, gamma, [0, 1])
+    return float(e0), float(e1), float(fp0), float(fp1)
 
 
 def ground_and_gap(spectrum: LevelSpectrum, gamma: float):

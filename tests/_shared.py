@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import math
 
+import mpmath
 import numpy as np
 
 from qwsearch import (
@@ -140,6 +141,63 @@ def group_close(values: np.ndarray, tol: float):
     cuts = np.flatnonzero(np.diff(values) > tol) + 1
     groups = np.split(values, cuts)
     return [(float(g.mean()), len(g)) for g in groups]
+
+
+# ---------------------------------------------------------------------------
+# Extended-precision secular oracle (never uses qwsearch.secular)
+# ---------------------------------------------------------------------------
+
+def mp_secular_solution(levels, gamma: float, dps: int = 40):
+    """Every root of F(E) = 1 with its weight 1/F'(E), at `dps` digits.
+
+    F(E) = (1/N) sum_k m_k / (gamma E_k - E) is built from the level energies
+    and multiplicities alone, with the poles gamma*E_k formed exactly.  Each
+    bracket, (-2, 0) for the ground root (F(-2) <= 1/2) and then every open
+    interval between adjacent poles, is bisected until its width is 1e-4 of
+    the distance to the nearer pole; Newton then converges quadratically to
+    within 1e-30 of that distance, or to the working precision of E.
+    Returns (roots, weights) as lists of mpf.
+    """
+    with mpmath.workdps(dps):
+        g = mpmath.mpf(float(gamma))
+        poles = [g * mpmath.mpf(float(e)) for e in levels.energies]
+        mults = [mpmath.mpf(int(m)) for m in levels.multiplicities]
+        n = mpmath.mpf(int(levels.num_vertices))
+
+        def f_and_fprime(e):
+            f = fp = mpmath.mpf(0)
+            for p, m in zip(poles, mults):
+                t = m / (p - e)
+                f += t
+                fp += t / (p - e)
+            return f / n - 1, fp / n
+
+        floor = mpmath.mpf(10) ** (4 - dps)
+        brackets = [(mpmath.mpf(-2), poles[0])] + list(zip(poles[:-1], poles[1:]))
+        roots, weights = [], []
+        for i, (a, b) in enumerate(brackets):
+            lo, hi = a, b
+            # The ground bracket's lower end is not a pole.
+            while hi - lo > 1e-4 * (b - hi if i == 0 else min(lo - a, b - hi)):
+                mid = (lo + hi) / 2
+                if f_and_fprime(mid)[0] >= 0:
+                    hi = mid
+                else:
+                    lo = mid
+            e = (lo + hi) / 2
+            for _ in range(20):
+                f, fp = f_and_fprime(e)
+                step = f / fp
+                e -= step
+                if not lo < e < hi:
+                    raise ArithmeticError(f"bracket {i}: Newton left ({lo}, {hi})")
+                if abs(step) <= max(1e-30 * min(e - a, b - e), floor * abs(e)):
+                    break
+            else:
+                raise ArithmeticError(f"bracket {i}: Newton did not settle")
+            roots.append(e)
+            weights.append(1 / f_and_fprime(e)[1])
+        return roots, weights
 
 
 def round_sig(x: float, digits: int = 3) -> float:

@@ -5,6 +5,9 @@ import pytest
 
 from _shared import critical, family, levels, scan_center, solved
 
+import qwsearch.analysis
+import qwsearch.constants
+import qwsearch.evolution
 from qwsearch import (
     GraphFamily,
     critical_predictions,
@@ -221,6 +224,35 @@ def test_subcritical_rejects_other_dims():
         subcritical_scaling(4, [6])
     with pytest.raises(ValueError):
         subcritical_scaling(5, [4])
+
+
+def _counting(monkeypatch, modules, name, calls, keep=lambda *args: True):
+    real = getattr(modules[0], name)
+
+    def wrapper(*args, **kwargs):
+        if keep(*args):
+            calls.append(args)
+        return real(*args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, wrapper)
+
+
+def test_transition_bounds_build_levels_once(monkeypatch):
+    calls = []
+    _counting(monkeypatch, (qwsearch.analysis, qwsearch.constants), "level_spectrum", calls)
+    report = verify_transition_bounds(family("lattice:3:10"), 0.5 * green_integral(1, 3))
+    assert len(calls) == 1
+    assert report.all_pass()
+
+
+def test_subcritical_one_amplitude_grid_per_side(monkeypatch):
+    calls = []
+    _counting(monkeypatch, (qwsearch.analysis, qwsearch.evolution), "amplitudes", calls,
+              keep=lambda spec, times: len(times) == qwsearch.evolution.OPTIMAL_TIME_GRID)
+    sides = [6, 8]
+    subcritical_scaling(3, sides)
+    assert len(calls) == len(sides)
 
 
 def test_subcritical_d3_small():

@@ -1,18 +1,21 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from _shared import (
     IDENTITY_FAMILIES,
     IDENTITY_GAMMA_FACTORS,
-    family,
     levels,
+    mp_secular_solution,
     scan_center,
     solved,
 )
 
+import qwsearch.secular
 from qwsearch import (
+    BracketError,
     GraphFamily,
     SecularPoleError,
     green_integral,
@@ -132,15 +135,38 @@ def test_gamma_validation():
         ground_and_gap(ls, -0.3)
 
 
-def test_lowest_two_agrees_with_full_solve():
-    ls = levels("lattice:3:6")
-    gamma = 0.3
-    e0, e1, fp0, fp1 = lowest_two(ls, gamma)
+@pytest.mark.parametrize("label", ["complete:2", "hypercube:1", "lattice:2:2",
+                                   "lattice:10:2", "lattice:2:16", "lattice:3:32"])
+@pytest.mark.parametrize("factor", [1e-6, 1e-2, 1.0, 1e2, 1e6])
+def test_lowest_two_agrees_with_full_solve(label, factor):
+    # both run the same kernel row by row, so the two lowest roots are bitwise equal
+    ls = levels(label)
+    gamma = factor * scan_center(label)
     spec = solve_spectrum(ls, gamma)
-    assert e0 == pytest.approx(spec.energies[0], abs=1e-13)
-    assert e1 == pytest.approx(spec.energies[1], abs=1e-13)
-    assert fp0 == pytest.approx(spec.fprimes[0], rel=1e-12)
-    assert fp1 == pytest.approx(spec.fprimes[1], rel=1e-12)
+    assert lowest_two(ls, gamma) == (spec.energies[0], spec.energies[1],
+                                     spec.fprimes[0], spec.fprimes[1])
+
+
+@pytest.mark.parametrize("label,gamma", [
+    *[("lattice:2:16", g) for g in (0.1, 0.55, 1.3, 4.0)],
+    *[(label, factor * scan_center(label))
+      for label in ("lattice:10:2", "lattice:3:8", "complete:2") for factor in (0.25, 1.0, 4.0)],
+])
+def test_roots_and_weights_match_40_digits(label, gamma):
+    ls = levels(label)
+    spec = solve_spectrum(ls, gamma)
+    roots, weights = mp_secular_solution(ls, gamma)
+    assert spec.num_roots == len(roots)
+    for ours, refs in ((spec.energies, roots), (spec.w_weights, weights)):
+        worst = max(abs((mpmath.mpf(float(x)) - y) / y) for x, y in zip(ours, refs))
+        assert worst <= 1e-13
+
+
+def test_non_convergence_raises(monkeypatch):
+    monkeypatch.setattr(qwsearch.secular, "_MAX_ITER", 1)
+    gamma = scan_center("lattice:2:16")
+    with pytest.raises(BracketError, match=f"gamma={gamma!r}: bracket \\d+ .*tau=.*H"):
+        solve_spectrum(levels("lattice:2:16"), gamma)
 
 
 def test_ground_and_gap_high_dim_critical():
