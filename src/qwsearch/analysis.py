@@ -163,7 +163,10 @@ def scan_gamma(graph: GraphFamily, gamma_lo: float, gamma_hi: float,
 
 def find_critical_gamma(graph: GraphFamily) -> float:
     """Gap-minimizing coupling: coarse scan then golden-section refinement."""
-    spectrum = level_spectrum(graph)
+    return _critical_gamma(level_spectrum(graph))
+
+
+def _critical_gamma(spectrum: LevelSpectrum) -> float:
     center = coupling_scan_center(spectrum)
     grid = np.linspace(center / 3.0, 3.0 * center, COARSE_SCAN_POINTS)
 
@@ -261,8 +264,7 @@ def _d4_energy_floor(gamma: float, i1: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def verify_failure_bounds(graph: GraphFamily, gamma: float,
-                          t_grid: np.ndarray | None = None) -> BoundReport:
+def verify_failure_bounds(graph: GraphFamily, gamma: float) -> BoundReport:
     """Check the amplitude ceilings that make the walk fail off-criticality.
 
     The unconditional ceiling max_t |amp| <= 2 sqrt(N) |E_0| is checked on
@@ -275,8 +277,7 @@ def verify_failure_bounds(graph: GraphFamily, gamma: float,
     n = graph.num_vertices
     slack = SLACK_D2 if d == 2 else SLACK_SMALL_TERMS
     spec = solve_spectrum(level_spectrum(graph), gamma)
-    if t_grid is None:
-        t_grid = np.linspace(0.0, default_time_horizon(n), OPTIMAL_TIME_GRID)
+    t_grid = np.linspace(0.0, default_time_horizon(n), OPTIMAL_TIME_GRID)
     max_amp = float(np.max(np.abs(amplitudes(spec, t_grid))))
     e0 = spec.energies[0]
     sqrt_n = math.sqrt(n)
@@ -345,7 +346,7 @@ def critical_predictions(d: int, sides: list[int],
         n = graph.num_vertices
         i2 = math.log(n) / (32.0 * math.pi**2) if d == 4 else green_integral(2, d)
         spectrum = level_spectrum(graph)
-        gc = find_critical_gamma(graph)
+        gc = _critical_gamma(spectrum)
         spec = solve_spectrum(spectrum, gc)
         horizon = default_time_horizon(n)
         t_star, p_star = find_optimal_time(spec, horizon)
@@ -369,6 +370,13 @@ def critical_predictions(d: int, sides: list[int],
     return records
 
 
+def _amplitude_ceiling(d: int, n: int, gamma_ref: float, x: float) -> float:
+    """Ceiling on max_t |amp| for d in {2, 3} from a root x of the rescaled secular function."""
+    if d == 3:
+        return 8.0 * math.pi**2 * gamma_ref * abs(x) * n ** (-1.0 / 6.0)
+    return 4.0 * math.pi * abs(x) * math.log(n) / math.sqrt(n)
+
+
 def subcritical_scaling(d: int, sides: list[int]) -> SubcriticalReport:
     """Failure study for d in {2, 3}: records at measured gamma_c plus ceiling checks.
 
@@ -381,14 +389,13 @@ def subcritical_scaling(d: int, sides: list[int]) -> SubcriticalReport:
     if d not in (2, 3):
         raise ValueError(f"subcritical scaling is defined for d in {{2, 3}}, got {d}")
     x0 = scaling_function_root(0.0, d)
-    i1 = green_integral(1, 3) if d == 3 else math.nan
     records: list[ScalingRecord] = []
     checks: list[BoundCheck] = []
     for side in sides:
         graph = GraphFamily.lattice(d, side)
         n = graph.num_vertices
         spectrum = level_spectrum(graph)
-        gc = find_critical_gamma(graph)
+        gc = _critical_gamma(spectrum)
         spec = solve_spectrum(spectrum, gc)
         horizon = default_time_horizon(n)
         t_grid = np.linspace(0.0, horizon, OPTIMAL_TIME_GRID)
@@ -399,24 +406,19 @@ def subcritical_scaling(d: int, sides: list[int]) -> SubcriticalReport:
             num_vertices=n, gamma_used=gc, gap=float(spec.energies[1] - spec.energies[0]),
             t_star=t_star, p_star=p_star, runtime_metric=t_star / p_star,
         ))
-        if d == 3:
-            ceiling = 8.0 * math.pi**2 * i1 * abs(x0) * n ** (-1.0 / 6.0)
-            a_meas = (gc - i1) * n ** (1.0 / 3.0)
-        else:
-            ceiling = 4.0 * math.pi * abs(x0) * math.log(n) / math.sqrt(n)
-            a_meas = gc - (math.log(n) / (4.0 * math.pi) + log_law_intercept())
-        checks.append(_check(f"amp-ceiling-zero-offset:N={n}", max_amp, ceiling, 1.0))
+        gamma_ref = critical_reference(graph)
+        a_meas = (gc - gamma_ref) * n ** (1.0 / 3.0) if d == 3 else gc - gamma_ref
+        checks.append(_check(f"amp-ceiling-zero-offset:N={n}", max_amp,
+                             _amplitude_ceiling(d, n, gamma_ref, x0), 1.0))
         try:
             x0a = scaling_function_root(a_meas, d)
-            if d == 3:
-                ceil_a = 8.0 * math.pi**2 * i1 * abs(x0a) * n ** (-1.0 / 6.0)
-            else:
-                ceil_a = 4.0 * math.pi * abs(x0a) * math.log(n) / math.sqrt(n)
-            checks.append(_check(f"amp-ceiling-measured-offset:N={n}", max_amp, ceil_a, 1.0))
         except NoRootError:
             checks.append(BoundCheck(
                 bound_id=f"amp-ceiling-measured-offset:N={n}", lhs=max_amp,
                 rhs=math.nan, slack=1.0, passed=False, applicable=False))
+        else:
+            checks.append(_check(f"amp-ceiling-measured-offset:N={n}", max_amp,
+                                 _amplitude_ceiling(d, n, gamma_ref, x0a), 1.0))
         checks.append(_check(f"runtime-floor:N={n}", math.sqrt(n) / max_amp,
                              t_star / p_star, 1.0))
     return SubcriticalReport(dim=d, x0_at_zero=x0, records=records, checks=checks)

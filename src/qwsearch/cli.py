@@ -17,22 +17,25 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 
 import numpy as np
 
 from . import __version__
 from .analysis import (
+    PredictionRecord,
+    ScalingRecord,
+    ScanRecord,
+    _critical_gamma,
     coupling_scan_center,
     critical_predictions,
     critical_reference,
-    find_critical_gamma,
     scan_gamma,
     subcritical_scaling,
     verify_failure_bounds,
     verify_transition_bounds,
 )
-from .constants import build_constant_table
+from .constants import ConstantEntry, build_constant_table
 from .evolution import (
     DEFAULT_ORACLE_CAP,
     DenseReference,
@@ -170,6 +173,11 @@ def _maybe_json_mirror(cfg: RunConfig, stem: str, header: list[str],
         outputs.append(write_json(os.path.join(cfg.output_dir, f"{stem}.json"), payload))
 
 
+def _table(cls, records) -> tuple[list[str], list[tuple]]:
+    """A record dataclass as a table: its field names, then one row per record."""
+    return [f.name for f in fields(cls)], [astuple(r) for r in records]
+
+
 def _emit_table(cfg: RunConfig, stem: str, header: list[str], rows: list[list],
                 outputs: list[str]):
     outputs.append(write_csv(os.path.join(cfg.output_dir, f"{stem}.csv"), header, rows))
@@ -243,26 +251,13 @@ def _write_svg(cfg: RunConfig, stem: str, header: list[str], rows: list[list]) -
 # Command handlers
 # ---------------------------------------------------------------------------
 
-SCAN_HEADER = ["gamma", "e0", "e1", "gap",
-               "overlap_s_psi0", "overlap_s_psi1", "overlap_w_psi0", "overlap_w_psi1"]
-
-
-def _scan_rows(records) -> list[list]:
-    return [[r.gamma, r.e0, r.e1, r.gap, r.overlap_s_psi0, r.overlap_s_psi1,
-             r.overlap_w_psi0, r.overlap_w_psi1] for r in records]
+SCAN_HEADER = [f.name for f in fields(ScanRecord)]
 
 
 def _cmd_constants(cfg: RunConfig) -> list[str]:
-    header = ["kind", "j", "d", "size", "a", "value", "error_estimate", "method", "truncation"]
     table = build_constant_table()
-    rows = []
-    for e in table:
-        rows.append([e.kind,
-                     "" if e.j is None else e.j,
-                     "" if e.d is None else e.d,
-                     "" if e.size is None else e.size,
-                     "" if e.a is None else _fnum(e.a),
-                     e.value, e.error_estimate, e.method, e.truncation])
+    header, rows = _table(ConstantEntry, table)
+    rows = [["" if v is None else v for v in row] for row in rows]
     outputs: list[str] = []
     outputs.append(write_csv(os.path.join(cfg.output_dir, "constants.csv"), header, rows))
     if cfg.fmt == "json":
@@ -298,7 +293,7 @@ def _cmd_scan(cfg: RunConfig) -> list[str]:
         lo, hi = cfg.gamma_lo, cfg.gamma_hi
     records = scan_gamma(graph, lo, hi, cfg.points)
     outputs: list[str] = []
-    _emit_table(cfg, "scan", SCAN_HEADER, _scan_rows(records), outputs)
+    _emit_table(cfg, "scan", *_table(ScanRecord, records), outputs)
     return outputs
 
 
@@ -326,21 +321,14 @@ def _checks_payload(checks) -> list[dict]:
 
 
 def _bound_payload(report) -> dict:
-    return {
-        "graph": report.graph,
-        "gamma": report.gamma,
-        "gamma_reference": report.gamma_reference,
-        "margin": report.margin,
-        "side": report.side,
-        "checks": _checks_payload(report.checks),
-        "all_pass": report.all_pass(),
-    }
+    return {**asdict(report), "checks": _checks_payload(report.checks),
+            "all_pass": report.all_pass()}
 
 
 def _cmd_critical(cfg: RunConfig) -> list[str]:
     graph = parse_graph_spec(cfg.graph)
-    gc = find_critical_gamma(graph)
     spectrum = level_spectrum(graph)
+    gc = _critical_gamma(spectrum)
     e0, e1, gap = ground_and_gap(spectrum, gc)
     payload = {
         "graph": graph.label(),
@@ -361,7 +349,7 @@ def _cmd_critical(cfg: RunConfig) -> list[str]:
         ]
     outputs = [write_json(os.path.join(cfg.output_dir, "critical.json"), payload)]
     records = scan_gamma(graph, 0.5 * gc, 1.5 * gc, cfg.points)
-    _emit_table(cfg, "critical_scan", SCAN_HEADER, _scan_rows(records), outputs)
+    _emit_table(cfg, "critical_scan", *_table(ScanRecord, records), outputs)
     return outputs
 
 
@@ -370,21 +358,11 @@ def _cmd_scaling(cfg: RunConfig) -> list[str]:
     sides = list(cfg.sides)
     outputs: list[str] = []
     if d >= 4:
-        records = critical_predictions(d, sides)
-        header = ["num_vertices", "gamma_used", "e0_measured", "e0_predicted",
-                  "e1_measured", "e1_predicted", "fprime0_measured", "fprime_predicted",
-                  "p_star", "p_predicted", "t_star", "t_predicted", "window_half_width"]
-        rows = [[r.num_vertices, r.gamma_used, r.e0_measured, r.e0_predicted,
-                 r.e1_measured, r.e1_predicted, r.fprime0_measured, r.fprime_predicted,
-                 r.p_star, r.p_predicted, r.t_star, r.t_predicted, r.window_half_width]
-                for r in records]
-        _emit_table(cfg, "scaling_predictions", header, rows, outputs)
+        _emit_table(cfg, "scaling_predictions",
+                    *_table(PredictionRecord, critical_predictions(d, sides)), outputs)
     else:
         report = subcritical_scaling(d, sides)
-        header = ["num_vertices", "gamma_used", "gap", "t_star", "p_star", "runtime_metric"]
-        rows = [[r.num_vertices, r.gamma_used, r.gap, r.t_star, r.p_star, r.runtime_metric]
-                for r in report.records]
-        _emit_table(cfg, "scaling_records", header, rows, outputs)
+        _emit_table(cfg, "scaling_records", *_table(ScalingRecord, report.records), outputs)
         outputs.append(write_json(os.path.join(cfg.output_dir, "scaling_report.json"), {
             "dim": report.dim,
             "x0_at_zero": report.x0_at_zero,
@@ -465,7 +443,7 @@ def _cmd_figures(cfg: RunConfig) -> list[str]:
         graph = parse_graph_spec(label)
         center = coupling_scan_center(level_spectrum(graph))
         records = scan_gamma(graph, 0.5 * center, 1.5 * center, 101)
-        _emit_table(cfg, stem, SCAN_HEADER, _scan_rows(records), outputs)
+        _emit_table(cfg, stem, *_table(ScanRecord, records), outputs)
     graph = parse_graph_spec(FIGURE_SECULAR_GRAPH)
     spectrum = level_spectrum(graph)
     poles = 1.0 * spectrum.energies
@@ -527,28 +505,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command,
-                    output_dir=args.output_dir, fmt=args.fmt, plot=args.plot,
-                    seed=args.seed, oracle_cap=args.oracle_cap)
-    if hasattr(args, "graph"):
-        cfg.graph = args.graph
-    if hasattr(args, "gamma"):
-        cfg.gamma = args.gamma
-    if getattr(args, "gamma_range", None):
+    given = vars(args)
+    cfg = RunConfig(**{f.name: given[f.name] for f in fields(RunConfig) if f.name in given})
+    if given.get("gamma_range"):
         lo, _, hi = args.gamma_range.partition(":")
         try:
             cfg.gamma_lo, cfg.gamma_hi = float(lo), float(hi)
         except ValueError as exc:
             raise GraphSpecError(f"bad --gamma-range {args.gamma_range!r}") from exc
-    if hasattr(args, "points"):
-        cfg.points = args.points
-    if hasattr(args, "time_max"):
-        cfg.time_max = args.time_max
-    if hasattr(args, "time_points"):
-        cfg.time_points = args.time_points
-    if hasattr(args, "dim"):
-        cfg.dim = args.dim
-    if hasattr(args, "sides"):
+    if cfg.sides is not None:
         try:
             cfg.sides = tuple(int(s) for s in args.sides.split(","))
         except ValueError as exc:
@@ -568,9 +533,11 @@ _HANDLERS = {
 }
 
 
-def _error_json(kind: str, exc: BaseException) -> str:
-    return json.dumps({"error": {"type": kind, "class": type(exc).__name__,
-                                 "message": str(exc)}}, sort_keys=True)
+def _error_json(kind: str, exc: BaseException, graph: str | None = None) -> str:
+    error = {"type": kind, "class": type(exc).__name__, "message": str(exc)}
+    if graph is not None:
+        error["graph"] = graph
+    return json.dumps({"error": error}, sort_keys=True)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -584,10 +551,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         outputs = _HANDLERS[cfg.command](cfg)
     except ValueError as exc:
-        print(_error_json("config", exc), file=sys.stderr)
+        print(_error_json("config", exc, cfg.graph), file=sys.stderr)
         return 2
     except Exception as exc:
-        print(_error_json("computation", exc), file=sys.stderr)
+        print(_error_json("computation", exc, cfg.graph), file=sys.stderr)
         return 3
     _write_manifest(cfg, outputs)
     for path in outputs:

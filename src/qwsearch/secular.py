@@ -63,33 +63,30 @@ class SecularSpectrum:
         return compensated_sum(1.0 / (self.energies * self.fprimes))
 
 
-def _pole_guard(poles: np.ndarray, energy: float) -> None:
-    i = int(np.argmin(np.abs(poles - energy)))
-    if abs(poles[i] - energy) <= 4.0 * _EPS * max(1.0, abs(poles[i])):
+def _exact_sum(spectrum: LevelSpectrum, gamma: float, energy: float, power: int) -> float:
+    """(1/N) sum_k m_k / (gamma*E_k - E)^power, summed exactly, farthest pole first."""
+    poles = gamma * spectrum.energies
+    diffs = poles - energy
+    i = int(np.argmin(np.abs(diffs)))
+    if abs(diffs[i]) <= 4.0 * _EPS * max(1.0, abs(poles[i])):
         raise SecularPoleError(
             f"E={energy!r} is within machine scale of the pole at {poles[i]!r}"
         )
+    order = np.argsort(-np.abs(diffs))
+    return compensated_sum(spectrum.multiplicities[order] / diffs[order] ** power) / spectrum.num_vertices
 
 
 def secular_value(spectrum: LevelSpectrum, gamma: float, energy: float) -> float:
     """F(E); strictly increasing on every pole-free interval, -> 0 as E -> +-inf.
 
-    Summed exactly, farthest pole first; this is the reference evaluation.
+    This exact sum is the reference evaluation.
     """
-    poles = gamma * spectrum.energies
-    _pole_guard(poles, energy)
-    diffs = poles - energy
-    order = np.argsort(-np.abs(diffs))
-    return compensated_sum(spectrum.multiplicities[order] / diffs[order]) / spectrum.num_vertices
+    return _exact_sum(spectrum, gamma, energy, 1)
 
 
 def secular_derivative(spectrum: LevelSpectrum, gamma: float, energy: float) -> float:
     """F'(E); positive everywhere and at least 1/(N E^2) from the level at 0."""
-    poles = gamma * spectrum.energies
-    _pole_guard(poles, energy)
-    diffs = poles - energy
-    order = np.argsort(-np.abs(diffs))
-    return compensated_sum(spectrum.multiplicities[order] / diffs[order] ** 2) / spectrum.num_vertices
+    return _exact_sum(spectrum, gamma, energy, 2)
 
 
 def _solve_brackets(spectrum: LevelSpectrum, gamma: float, brackets) -> tuple[np.ndarray, np.ndarray]:

@@ -255,6 +255,17 @@ def test_subcritical_one_amplitude_grid_per_side(monkeypatch):
     assert len(calls) == len(sides)
 
 
+@pytest.mark.parametrize("run, builds", [
+    (lambda: subcritical_scaling(3, [6, 8]), 2),
+    (lambda: critical_predictions(5, [4], measure_window=False), 1),
+], ids=["subcritical", "critical"])
+def test_experiments_build_levels_once_per_side(monkeypatch, run, builds):
+    calls = []
+    _counting(monkeypatch, (qwsearch.analysis, qwsearch.constants), "level_spectrum", calls)
+    run()
+    assert len(calls) == builds
+
+
 def test_subcritical_d3_small():
     report = subcritical_scaling(3, [6, 8])
     assert report.dim == 3

@@ -6,7 +6,11 @@ import sys
 import numpy as np
 import pytest
 
-from qwsearch.cli import GraphSpecError, main, parse_graph_spec
+import qwsearch.secular
+from qwsearch.cli import SCAN_HEADER, GraphSpecError, main, parse_graph_spec
+
+SCAN_COLUMNS = ["gamma", "e0", "e1", "gap", "overlap_s_psi0",
+                "overlap_s_psi1", "overlap_w_psi0", "overlap_w_psi1"]
 
 
 def _read_csv(path):
@@ -59,11 +63,16 @@ def test_scan_command_schema(tmp_path):
                "--points", "7", "--output-dir", str(tmp_path)])
     assert rc == 0
     header, rows = _read_csv(tmp_path / "scan.csv")
-    assert header == ["gamma", "e0", "e1", "gap", "overlap_s_psi0",
-                      "overlap_s_psi1", "overlap_w_psi0", "overlap_w_psi1"]
+    assert header == SCAN_HEADER == SCAN_COLUMNS
     assert len(rows) == 7
     gammas = [float(r[0]) for r in rows]
     assert gammas[0] == 0.5 and gammas[-1] == 1.5
+    manifest = json.loads((tmp_path / "scan.manifest.json").read_text())
+    assert manifest["config"] == {
+        "command": "scan", "graph": "lattice:2:4", "gamma": None,
+        "gamma_lo": 0.5, "gamma_hi": 1.5, "points": 7, "time_max": None,
+        "time_points": 512, "dim": None, "sides": None, "output_dir": str(tmp_path),
+        "fmt": "csv", "plot": "none", "seed": 0, "oracle_cap": 4096}
 
 
 def test_evolve_command(tmp_path):
@@ -98,6 +107,41 @@ def test_scaling_command_subcritical(tmp_path):
     report = json.loads((tmp_path / "scaling_report.json").read_text())
     assert {c["bound_id"].split(":")[0] for c in report["checks"]} == {
         "amp-ceiling-zero-offset", "amp-ceiling-measured-offset", "runtime-floor"}
+
+
+def test_scaling_command_critical(tmp_path):
+    rc = main(["scaling", "--dim", "5", "--sides", "4", "--output-dir", str(tmp_path)])
+    assert rc == 0
+    header, rows = _read_csv(tmp_path / "scaling_predictions.csv")
+    assert header == ["num_vertices", "gamma_used", "e0_measured", "e0_predicted",
+                      "e1_measured", "e1_predicted", "fprime0_measured", "fprime_predicted",
+                      "p_star", "p_predicted", "t_star", "t_predicted", "window_half_width"]
+    assert [r[0] for r in rows] == ["1024"]
+    manifest = json.loads((tmp_path / "scaling.manifest.json").read_text())
+    assert manifest["config"] == {
+        "command": "scaling", "graph": None, "gamma": None,
+        "gamma_lo": None, "gamma_hi": None, "points": 101, "time_max": None,
+        "time_points": 512, "dim": 5, "sides": [4], "output_dir": str(tmp_path),
+        "fmt": "csv", "plot": "none", "seed": 0, "oracle_cap": 4096}
+
+
+def test_critical_command(tmp_path):
+    rc = main(["critical", "--graph", "lattice:3:6", "--points", "11", "--format", "json",
+               "--output-dir", str(tmp_path)])
+    assert rc == 0
+    header, rows = _read_csv(tmp_path / "critical_scan.csv")
+    assert header == SCAN_COLUMNS
+    assert len(rows) == 11
+    payload = json.loads((tmp_path / "critical.json").read_text())
+    assert sorted(payload) == ["bounds", "e0", "e1", "gamma_critical", "gamma_reference",
+                               "gap", "graph", "scan_center"]
+    assert [b["side"] for b in payload["bounds"]] == ["below", "above", "below", "above"]
+    for bound in payload["bounds"]:
+        assert sorted(bound) == ["all_pass", "checks", "gamma", "gamma_reference",
+                                 "graph", "margin", "side"]
+        assert bound["graph"] == "lattice:3:6" and bound["all_pass"] is True
+        for check in bound["checks"]:
+            assert sorted(check) == ["applicable", "bound_id", "lhs", "pass", "rhs", "slack"]
 
 
 def test_validate_command(tmp_path):
@@ -165,6 +209,16 @@ def test_computation_error_exit_code(tmp_path, capsys, monkeypatch):
     assert rc == 3
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["type"] == "computation"
+
+
+def test_computation_error_names_graph(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(qwsearch.secular, "_MAX_ITER", 1)
+    rc = main(["spectrum", "--graph", "lattice:2:16", "--gamma", "1.0",
+               "--output-dir", str(tmp_path)])
+    assert rc == 3
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert (err["type"], err["class"], err["graph"]) == (
+        "computation", "BracketError", "lattice:2:16")
 
 
 def test_json_mirror(tmp_path):
