@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import golden_section_min
+from ._util import brent_root
 from .constants import (
     NoRootError,
     _level_inverse_sum,
@@ -31,7 +31,7 @@ from .evolution import (
     find_optimal_time,
 )
 from .graphs import GraphFamily, LevelSpectrum, level_spectrum
-from .secular import lowest_two, solve_spectrum
+from .secular import _solve_brackets, lowest_two, solve_spectrum
 
 # Bounds away from the critical point assume the coupling clears the critical
 # window, whose width shrinks like N^(-1/2); the margin must dominate it.
@@ -43,7 +43,6 @@ SLACK_SMALL_TERMS = 1.5
 SLACK_D2 = 2.0
 
 COARSE_SCAN_POINTS = 61
-CRITICAL_REL_WIDTH = 1e-6
 
 
 @dataclass(frozen=True)
@@ -134,9 +133,7 @@ def critical_reference(graph: GraphFamily) -> float:
     raise ValueError("no finite critical coupling in one dimension")
 
 
-def _two_level_record(spectrum: LevelSpectrum, gamma: float) -> ScanRecord:
-    e0, e1, fp0, fp1 = lowest_two(spectrum, gamma)
-    n = spectrum.num_vertices
+def _record(n: int, gamma: float, e0: float, e1: float, fp0: float, fp1: float) -> ScanRecord:
     return ScanRecord(
         gamma=float(gamma),
         e0=e0,
@@ -149,37 +146,66 @@ def _two_level_record(spectrum: LevelSpectrum, gamma: float) -> ScanRecord:
     )
 
 
-def scan_gamma(graph: GraphFamily, gamma_lo: float, gamma_hi: float,
-               num_points: int) -> list[ScanRecord]:
-    """Gap and two-level overlaps on a uniform coupling grid."""
+def _two_level_record(spectrum: LevelSpectrum, gamma: float) -> ScanRecord:
+    return _record(spectrum.num_vertices, gamma, *lowest_two(spectrum, gamma))
+
+
+def _two_level_grid(spectrum: LevelSpectrum, grid: np.ndarray) -> np.ndarray:
+    """Rows (e0, e1, fprime0, fprime1) at each coupling, from one kernel call."""
+    roots, fprimes = _solve_brackets(spectrum, np.repeat(grid, 2), np.tile([0, 1], len(grid)))
+    return np.hstack([roots.reshape(-1, 2), fprimes.reshape(-1, 2)])
+
+
+def _gap_slope(e0, e1, fp0, fp1):
+    """gamma * d(E1 - E0)/dgamma, by Hellmann-Feynman dE_a/dgamma = (E_a + R_a)/gamma."""
+    return e1 + 1.0 / fp1 - e0 - 1.0 / fp0
+
+
+def _coupling_grid(gamma_lo: float, gamma_hi: float, num_points: int) -> np.ndarray:
     if not 0.0 < gamma_lo < gamma_hi:
         raise ValueError(f"need 0 < gamma_lo < gamma_hi, got {gamma_lo}, {gamma_hi}")
     if num_points < 2:
         raise ValueError(f"need at least 2 scan points, got {num_points}")
-    spectrum = level_spectrum(graph)
-    grid = np.linspace(gamma_lo, gamma_hi, num_points)
-    return [_two_level_record(spectrum, g) for g in grid]
+    return np.linspace(gamma_lo, gamma_hi, num_points)
+
+
+def scan_gamma(graph: GraphFamily, gamma_lo: float, gamma_hi: float,
+               num_points: int) -> list[ScanRecord]:
+    """Gap and two-level overlaps on a uniform coupling grid."""
+    grid = _coupling_grid(gamma_lo, gamma_hi, num_points)
+    return _scan(level_spectrum(graph), grid)
+
+
+def _scan(spectrum: LevelSpectrum, grid: np.ndarray) -> list[ScanRecord]:
+    n = spectrum.num_vertices
+    return [_record(n, g, *row) for g, row in zip(grid, _two_level_grid(spectrum, grid).tolist())]
 
 
 def find_critical_gamma(graph: GraphFamily) -> float:
-    """Gap-minimizing coupling: coarse scan then golden-section refinement."""
+    """Gap-minimizing coupling, the root of the gap derivative.
+
+    A 61-point scan on [center/3, 3*center] gives the gap and, by
+    Hellmann-Feynman, its derivative; Brent's method then solves
+    E1 + R1 - E0 - R0 = 0 in the grid cell beside the smallest gap where
+    the derivative turns from negative to positive.  Without such a cell
+    the gap minimum is not inside the window, and the grid argmin is
+    returned.
+    """
     return _critical_gamma(level_spectrum(graph))
 
 
 def _critical_gamma(spectrum: LevelSpectrum) -> float:
     center = coupling_scan_center(spectrum)
     grid = np.linspace(center / 3.0, 3.0 * center, COARSE_SCAN_POINTS)
-
-    def gap(g: float) -> float:
-        e0, e1, _, _ = lowest_two(spectrum, g)
-        return e1 - e0
-
-    gaps = [gap(g) for g in grid]
-    i = int(np.argmin(gaps))
-    lo = grid[max(0, i - 1)]
-    hi = grid[min(len(grid) - 1, i + 1)]
-    g_star, _ = golden_section_min(gap, lo, hi, rel_width=CRITICAL_REL_WIDTH)
-    return float(g_star)
+    e0, e1, fp0, fp1 = _two_level_grid(spectrum, grid).T
+    slope = _gap_slope(e0, e1, fp0, fp1)
+    i = int(np.argmin(e1 - e0))
+    for j in (i - 1, i):
+        if 0 <= j < len(grid) - 1 and slope[j] < 0.0 <= slope[j + 1]:
+            return brent_root(lambda g: _gap_slope(*lowest_two(spectrum, g)),
+                              float(grid[j]), float(grid[j + 1]),
+                              float(slope[j]), float(slope[j + 1]))
+    return float(grid[i])
 
 
 def _margin(gamma_ref: float, num_vertices: int) -> float:

@@ -26,11 +26,12 @@ from .analysis import (
     PredictionRecord,
     ScalingRecord,
     ScanRecord,
+    _coupling_grid,
     _critical_gamma,
+    _scan,
     coupling_scan_center,
     critical_predictions,
     critical_reference,
-    scan_gamma,
     subcritical_scaling,
     verify_failure_bounds,
     verify_transition_bounds,
@@ -285,13 +286,13 @@ def _cmd_spectrum(cfg: RunConfig) -> list[str]:
 
 
 def _cmd_scan(cfg: RunConfig) -> list[str]:
-    graph = parse_graph_spec(cfg.graph)
+    spectrum = level_spectrum(parse_graph_spec(cfg.graph))
     if cfg.gamma_lo is None or cfg.gamma_hi is None:
-        center = coupling_scan_center(level_spectrum(graph))
+        center = coupling_scan_center(spectrum)
         lo, hi = 0.5 * center, 1.5 * center
     else:
         lo, hi = cfg.gamma_lo, cfg.gamma_hi
-    records = scan_gamma(graph, lo, hi, cfg.points)
+    records = _scan(spectrum, _coupling_grid(lo, hi, cfg.points))
     outputs: list[str] = []
     _emit_table(cfg, "scan", *_table(ScanRecord, records), outputs)
     return outputs
@@ -348,7 +349,7 @@ def _cmd_critical(cfg: RunConfig) -> list[str]:
             _bound_payload(verify_failure_bounds(graph, 2.0 * ref)),
         ]
     outputs = [write_json(os.path.join(cfg.output_dir, "critical.json"), payload)]
-    records = scan_gamma(graph, 0.5 * gc, 1.5 * gc, cfg.points)
+    records = _scan(spectrum, _coupling_grid(0.5 * gc, 1.5 * gc, cfg.points))
     _emit_table(cfg, "critical_scan", *_table(ScanRecord, records), outputs)
     return outputs
 
@@ -440,9 +441,9 @@ def _clustered(energies: np.ndarray, w: np.ndarray, s: np.ndarray, tol: float = 
 def _cmd_figures(cfg: RunConfig) -> list[str]:
     outputs: list[str] = []
     for stem, label in FIGURE_SCANS:
-        graph = parse_graph_spec(label)
-        center = coupling_scan_center(level_spectrum(graph))
-        records = scan_gamma(graph, 0.5 * center, 1.5 * center, 101)
+        spectrum = level_spectrum(parse_graph_spec(label))
+        center = coupling_scan_center(spectrum)
+        records = _scan(spectrum, _coupling_grid(0.5 * center, 1.5 * center, 101))
         _emit_table(cfg, stem, *_table(ScanRecord, records), outputs)
     graph = parse_graph_spec(FIGURE_SECULAR_GRAPH)
     spectrum = level_spectrum(graph)

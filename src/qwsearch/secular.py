@@ -22,10 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import compensated_sum
+from ._util import _EPS, compensated_sum
 from .graphs import LevelSpectrum
-
-_EPS = float(np.finfo(float).eps)
 
 # Most float64 entries one row block of the secular kernel holds (512 KB),
 # unless a single row of K entries is larger.
@@ -89,29 +87,41 @@ def secular_derivative(spectrum: LevelSpectrum, gamma: float, energy: float) -> 
     return _exact_sum(spectrum, gamma, energy, 2)
 
 
-def _solve_brackets(spectrum: LevelSpectrum, gamma: float, brackets) -> tuple[np.ndarray, np.ndarray]:
+def _solve_brackets(spectrum: LevelSpectrum, gamma, brackets) -> tuple[np.ndarray, np.ndarray]:
     """Roots of F(E) = 1 and F' there, one per bracket index.
 
-    Bracket 0 is (-inf, 0); bracket i > 0 is (gamma*E_{i-1}, gamma*E_i).
-    Rows are solved in blocks of at most _BLOCK entries (one row when K is
-    larger), and no row's arithmetic depends on the other rows, so a root
-    comes out the same whichever brackets are solved with it.
+    gamma is one coupling for every row or one coupling per row.  Bracket 0
+    is (-inf, 0); bracket i > 0 is (gamma*E_{i-1}, gamma*E_i).  Rows are
+    solved in blocks of at most _BLOCK entries (one row when K is larger),
+    and no row's arithmetic depends on the other rows, so a root comes out
+    the same whichever brackets and couplings are solved with it.
     """
     levels = spectrum.energies
     mult = spectrum.multiplicities.astype(float)
     brackets = np.asarray(brackets, dtype=int)
+    gammas = np.full(brackets.shape, gamma, dtype=float)
     roots = np.empty(len(brackets))
     fprimes = np.empty(len(brackets))
     rows = max(1, _BLOCK // len(levels))
     for i in range(0, len(brackets), rows):
         block = slice(i, i + rows)
         roots[block], fprimes[block] = _solve_block(
-            levels, mult, spectrum.num_vertices, gamma, brackets[block])
+            levels, mult, spectrum.num_vertices, gammas[block], brackets[block])
     return roots, fprimes
 
 
+def _pole_distances(gamma, levels, origins):
+    """gamma*(levels - origin) for each row's coupling and origin.
+
+    Scaled in place: a broadcast product would hold a second row block.
+    """
+    dist = levels - origins[:, None]
+    dist *= gamma[:, None]
+    return dist
+
+
 def _solve_block(levels, mult, n, gamma, brackets):
-    """One row block of _solve_brackets.
+    """One row block of _solve_brackets; gamma holds each row's coupling.
 
     Each root is an offset tau from its nearer pole gamma*E_o, and the other
     poles sit at delta_k = gamma*(E_k - E_o).  Subtracting before scaling
@@ -124,9 +134,9 @@ def _solve_block(levels, mult, n, gamma, brackets):
     inner = brackets > 0
     # The sign of F - 1 at each interval midpoint names the nearer pole.
     centre = 0.5 * (levels[own[inner] - 1] + levels[own[inner]])
-    f_mid = (mult / (gamma * (levels - centre[:, None]))).sum(axis=1) / n
+    f_mid = (mult / _pole_distances(gamma[inner], levels, centre)).sum(axis=1) / n
     own[inner] -= f_mid >= 1.0
-    delta = gamma * (levels - levels[own][:, None])
+    delta = _pole_distances(gamma, levels, levels[own])
     # tau lies between the own pole and the interval midpoint; the ground
     # root lies in (-1, -1/N) because F(-1) < 1 < F(-1/N).
     other = np.where(own < brackets, brackets, np.maximum(brackets - 1, 0))
@@ -167,10 +177,10 @@ def _solve_block(levels, mult, n, gamma, brackets):
             keep = ~done
             live, col, delta, own_term, sign, lo, hi, tau, h, nxt = (
                 a[keep] for a in (live, col, delta, own_term, sign, lo, hi, tau, h, nxt))
-    b = int(brackets[live[0]])
-    poles = (-np.inf, 0.0) if b == 0 else (gamma * levels[b - 1], gamma * levels[b])
+    b, g = int(brackets[live[0]]), float(gamma[live[0]])
+    poles = (-np.inf, 0.0) if b == 0 else (g * levels[b - 1], g * levels[b])
     raise BracketError(
-        f"secular kernel did not converge in {_MAX_ITER} steps at gamma={gamma!r}: "
+        f"secular kernel did not converge in {_MAX_ITER} steps at gamma={g!r}: "
         f"bracket {b} ({poles[0]!r}, {poles[1]!r}), last tau={float(tau[0])!r} "
         f"with |H|={abs(float(h[0]))!r}"
     )

@@ -38,6 +38,18 @@ IDENTITY_FAMILIES = (
 IDENTITY_GAMMA_FACTORS = (0.25, 0.5, 1.0, 2.0, 4.0)
 
 
+def _counting(monkeypatch, modules, name, calls, keep=lambda *args: True):
+    real = getattr(modules[0], name)
+
+    def wrapper(*args, **kwargs):
+        if keep(*args):
+            calls.append(args)
+        return real(*args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, wrapper)
+
+
 @functools.lru_cache(maxsize=None)
 def family(label: str) -> GraphFamily:
     return parse_graph_spec(label)

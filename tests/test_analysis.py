@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from _shared import critical, family, levels, scan_center, solved
+from _shared import _counting, critical, family, levels, scan_center, solved
 
 import qwsearch.analysis
 import qwsearch.constants
 import qwsearch.evolution
+import qwsearch.secular
 from qwsearch import (
     GraphFamily,
     critical_predictions,
@@ -15,11 +16,17 @@ from qwsearch import (
     find_critical_gamma,
     green_integral,
     log_law_intercept,
+    lowest_two,
     scan_gamma,
     subcritical_scaling,
     verify_failure_bounds,
     verify_transition_bounds,
 )
+from qwsearch._util import golden_section_min
+
+# The coupling-sweep benchmark families.
+SWEEP_FAMILIES = ("complete:1024", "hypercube:10", "lattice:5:4", "lattice:4:6",
+                  "lattice:3:10", "lattice:2:32")
 
 # Scan windows for the property checks sit at +-25% of the finite-size
 # coupling center; all transition structure lives well inside them.
@@ -39,6 +46,13 @@ def test_scan_validation():
         scan_gamma(g, 0.5, 0.2, 10)
     with pytest.raises(ValueError):
         scan_gamma(g, 0.1, 0.5, 1)
+
+
+@pytest.mark.parametrize("label, points", [("complete:1024", 11), ("lattice:3:6", 21)])
+def test_scan_matches_per_coupling_records(label, points):
+    records = scan_gamma(family(label), *_window(label), points)
+    grid = np.linspace(*_window(label), points)
+    assert records == [qwsearch.analysis._two_level_record(levels(label), g) for g in grid]
 
 
 def test_scan_complete_gap_minimum():
@@ -128,6 +142,57 @@ def test_find_critical_d5():
 def test_find_critical_d2():
     law = math.log(1024.0) / (4.0 * math.pi) + 0.0488
     assert abs(critical("lattice:2:32") - law) / law <= 0.15
+
+
+@pytest.mark.parametrize("label", SWEEP_FAMILIES)
+def test_hellmann_feynman_slopes(label):
+    # dE_a/dgamma = (E_a + R_a)/gamma against centred differences; a step of
+    # 1e-6 gamma leaves them about 2e-10 apart
+    ls = levels(label)
+    for gamma in (0.5 * critical(label), critical(label), 2.0 * critical(label)):
+        h = 1e-6 * gamma
+        e0, e1, fp0, fp1 = lowest_two(ls, gamma)
+        up, down = lowest_two(ls, gamma + h), lowest_two(ls, gamma - h)
+        for a, (e, fp) in enumerate(((e0, fp0), (e1, fp1))):
+            slope = (e + 1.0 / fp) / gamma
+            assert (up[a] - down[a]) / (2.0 * h) == pytest.approx(slope, rel=1e-8)
+
+
+@pytest.mark.parametrize("label", SWEEP_FAMILIES)
+def test_critical_gamma_is_gap_minimum(label):
+    # the derivative root against a golden-section minimum of width 1e-11
+    ls = levels(label)
+    gc = critical(label)
+
+    def gap(g):
+        e0, e1, _, _ = lowest_two(ls, g)
+        return e1 - e0
+
+    g_min, _ = golden_section_min(gap, 0.99 * gc, 1.01 * gc, rel_width=1e-11)
+    assert gc == pytest.approx(g_min, rel=1e-7)
+
+
+@pytest.mark.parametrize("label", SWEEP_FAMILIES)
+def test_critical_gamma_kernel_calls(monkeypatch, label):
+    # one batched call for the coarse grid, then one lowest_two per Brent step
+    calls = []
+    _counting(monkeypatch, (qwsearch.secular, qwsearch.analysis), "_solve_brackets", calls)
+    qwsearch.analysis._critical_gamma(levels(label))
+    rows = sorted(len(brackets) for _, _, brackets in calls)
+    assert rows[-1] == 2 * qwsearch.analysis.COARSE_SCAN_POINTS
+    assert rows[:-1] == [2] * (len(rows) - 1) and len(rows) - 1 <= 16
+
+
+@pytest.mark.parametrize("label, shift, index", [
+    ("lattice:3:10", 20.0, 0), ("lattice:2:32", 20.0, 0), ("complete:1024", 0.05, -1),
+])
+def test_critical_gamma_falls_back_to_grid(monkeypatch, label, shift, index):
+    # with the gap minimum outside the window the derivative keeps one sign,
+    # and the grid end nearest the minimum comes back
+    center = shift * scan_center(label)
+    monkeypatch.setattr(qwsearch.analysis, "coupling_scan_center", lambda spectrum: center)
+    grid = np.linspace(center / 3.0, 3.0 * center, qwsearch.analysis.COARSE_SCAN_POINTS)
+    assert qwsearch.analysis._critical_gamma(levels(label)) == grid[index]
 
 
 def test_critical_reference_lattice_only():
@@ -224,18 +289,6 @@ def test_subcritical_rejects_other_dims():
         subcritical_scaling(4, [6])
     with pytest.raises(ValueError):
         subcritical_scaling(5, [4])
-
-
-def _counting(monkeypatch, modules, name, calls, keep=lambda *args: True):
-    real = getattr(modules[0], name)
-
-    def wrapper(*args, **kwargs):
-        if keep(*args):
-            calls.append(args)
-        return real(*args, **kwargs)
-
-    for module in modules:
-        monkeypatch.setattr(module, name, wrapper)
 
 
 def test_transition_bounds_build_levels_once(monkeypatch):

@@ -6,6 +6,11 @@ import sys
 import numpy as np
 import pytest
 
+from _shared import _counting
+
+import qwsearch.analysis
+import qwsearch.cli
+import qwsearch.constants
 import qwsearch.secular
 from qwsearch.cli import SCAN_HEADER, GraphSpecError, main, parse_graph_spec
 
@@ -75,6 +80,20 @@ def test_scan_command_schema(tmp_path):
         "fmt": "csv", "plot": "none", "seed": 0, "oracle_cap": 4096}
 
 
+def _count_level_builds(monkeypatch):
+    calls = []
+    _counting(monkeypatch, (qwsearch.cli, qwsearch.analysis, qwsearch.constants),
+              "level_spectrum", calls)
+    return calls
+
+
+def test_scan_command_builds_levels_once(tmp_path, monkeypatch):
+    builds = _count_level_builds(monkeypatch)
+    rc = main(["scan", "--graph", "lattice:3:6", "--points", "5", "--output-dir", str(tmp_path)])
+    assert rc == 0
+    assert len(builds) == 1
+
+
 def test_evolve_command(tmp_path):
     rc = main(["evolve", "--graph", "complete:64", "--gamma", str(1.0 / 64),
                "--time-max", "30", "--points", "61", "--output-dir", str(tmp_path)])
@@ -125,10 +144,13 @@ def test_scaling_command_critical(tmp_path):
         "fmt": "csv", "plot": "none", "seed": 0, "oracle_cap": 4096}
 
 
-def test_critical_command(tmp_path):
+def test_critical_command(tmp_path, monkeypatch):
+    # one level build for the command, plus one in each of the four bound suites
+    builds = _count_level_builds(monkeypatch)
     rc = main(["critical", "--graph", "lattice:3:6", "--points", "11", "--format", "json",
                "--output-dir", str(tmp_path)])
     assert rc == 0
+    assert len(builds) == 5
     header, rows = _read_csv(tmp_path / "critical_scan.csv")
     assert header == SCAN_COLUMNS
     assert len(rows) == 11
@@ -156,9 +178,11 @@ def test_validate_command(tmp_path):
     assert report["worst_delta"] < 1e-8
 
 
-def test_figures_command(tmp_path):
+def test_figures_command(tmp_path, monkeypatch):
+    builds = _count_level_builds(monkeypatch)
     rc = main(["figures", "--output-dir", str(tmp_path)])
     assert rc == 0
+    assert len(builds) == 7      # one per figure graph
     names = sorted(os.listdir(tmp_path))
     for stem in ("fig1_complete_1024", "fig2_hypercube_10", "fig3_lattice_5_4",
                  "fig3_lattice_4_6", "fig3_lattice_3_10", "fig3_lattice_2_32",

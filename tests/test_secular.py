@@ -169,6 +169,29 @@ def test_non_convergence_raises(monkeypatch):
         solve_spectrum(levels("lattice:2:16"), gamma)
 
 
+@pytest.mark.parametrize("label", ["complete:2", "hypercube:1", "lattice:2:2",
+                                   "lattice:10:2", "lattice:2:16", "lattice:3:32"])
+def test_batched_couplings_match_lowest_two(label):
+    # one kernel call with a coupling per row, the five couplings shuffled and
+    # both brackets of each in separate halves, equals lowest_two per coupling
+    ls = levels(label)
+    gammas = [f * scan_center(label) for f in (1e2, 1e-6, 1e6, 1.0, 1e-2)]
+    roots, fprimes = qwsearch.secular._solve_brackets(ls, gammas + gammas, [0] * 5 + [1] * 5)
+    for j, gamma in enumerate(gammas):
+        assert lowest_two(ls, gamma) == (roots[j], roots[j + 5], fprimes[j], fprimes[j + 5])
+
+
+def test_batched_non_convergence_names_row_coupling(monkeypatch):
+    monkeypatch.setattr(qwsearch.secular, "_MAX_ITER", 1)
+    ls = levels("lattice:2:16")
+    g0, g1 = 0.7 * scan_center("lattice:2:16"), 1.3 * scan_center("lattice:2:16")
+    with pytest.raises(BracketError) as info:
+        qwsearch.secular._solve_brackets(ls, [g0, g1], [3, 3])
+    message = str(info.value)
+    assert f"gamma={g0!r}: bracket 3 ({g0 * ls.energies[2]!r}, {g0 * ls.energies[3]!r})" in message
+    assert repr(g1) not in message
+
+
 def test_ground_and_gap_high_dim_critical():
     # at the asymptotic critical coupling the two lowest roots approach
     # -+ I1/sqrt(I2 N); finite-size corrections stay within 25% at N=1024
