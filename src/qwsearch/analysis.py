@@ -233,11 +233,14 @@ def verify_transition_bounds(graph: GraphFamily, gamma: float) -> BoundReport:
     inequality (no slack) and through the closed form obtained by inserting
     the energy bound (slack squared).
     """
+    return _transition_bounds(graph, level_spectrum(graph), gamma)
+
+
+def _transition_bounds(graph: GraphFamily, spectrum: LevelSpectrum, gamma: float) -> BoundReport:
     gamma_ref, margin = _require_clear_of_critical(graph, gamma)
     d = graph.dim
     n = graph.num_vertices
     slack = SLACK_D2 if d == 2 else SLACK_SMALL_TERMS
-    spectrum = level_spectrum(graph)
     rec = _two_level_record(spectrum, gamma)
     e0, e1, s0, s1 = rec.e0, rec.e1, rec.overlap_s_psi0, rec.overlap_s_psi1
     s2_sum = _level_inverse_sum(spectrum, 2) * n      # sum_{k != 0} E_k^-2
@@ -298,13 +301,16 @@ def verify_failure_bounds(graph: GraphFamily, gamma: float) -> BoundReport:
     the ground-energy bound; below it, dimension-specific resolvent bounds
     put a floor under |E_0| that caps the amplitude.
     """
+    return _failure_bounds(graph, level_spectrum(graph), gamma)
+
+
+def _failure_bounds(graph: GraphFamily, spectrum: LevelSpectrum, gamma: float) -> BoundReport:
     gamma_ref, margin = _require_clear_of_critical(graph, gamma)
     d, side = graph.dim, graph.side
     n = graph.num_vertices
     slack = SLACK_D2 if d == 2 else SLACK_SMALL_TERMS
-    spec = solve_spectrum(level_spectrum(graph), gamma)
-    t_grid = np.linspace(0.0, default_time_horizon(n), OPTIMAL_TIME_GRID)
-    max_amp = float(np.max(np.abs(amplitudes(spec, t_grid))))
+    spec = solve_spectrum(spectrum, gamma)
+    max_amp = float(np.max(np.abs(amplitudes(spec, default_time_horizon(n), OPTIMAL_TIME_GRID))))
     e0 = spec.energies[0]
     sqrt_n = math.sqrt(n)
     checks = [_check("amp-global", max_amp, 2.0 * sqrt_n * abs(e0), 1.0)]
@@ -424,10 +430,9 @@ def subcritical_scaling(d: int, sides: list[int]) -> SubcriticalReport:
         gc = _critical_gamma(spectrum)
         spec = solve_spectrum(spectrum, gc)
         horizon = default_time_horizon(n)
-        t_grid = np.linspace(0.0, horizon, OPTIMAL_TIME_GRID)
-        amps = amplitudes(spec, t_grid)
+        amps = amplitudes(spec, horizon, OPTIMAL_TIME_GRID)
         max_amp = float(np.max(np.abs(amps)))
-        t_star, p_star = _grid_optimum(spec, t_grid, amps)
+        t_star, p_star = _grid_optimum(spec, horizon, amps)
         records.append(ScalingRecord(
             num_vertices=n, gamma_used=gc, gap=float(spec.energies[1] - spec.energies[0]),
             t_star=t_star, p_star=p_star, runtime_metric=t_star / p_star,

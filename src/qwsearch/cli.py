@@ -28,13 +28,13 @@ from .analysis import (
     ScanRecord,
     _coupling_grid,
     _critical_gamma,
+    _failure_bounds,
     _scan,
+    _transition_bounds,
     coupling_scan_center,
     critical_predictions,
     critical_reference,
     subcritical_scaling,
-    verify_failure_bounds,
-    verify_transition_bounds,
 )
 from .constants import ConstantEntry, build_constant_table
 from .evolution import (
@@ -343,10 +343,10 @@ def _cmd_critical(cfg: RunConfig) -> list[str]:
         ref = critical_reference(graph)
         payload["gamma_reference"] = ref
         payload["bounds"] = [
-            _bound_payload(verify_transition_bounds(graph, 0.5 * ref)),
-            _bound_payload(verify_transition_bounds(graph, 2.0 * ref)),
-            _bound_payload(verify_failure_bounds(graph, 0.5 * ref)),
-            _bound_payload(verify_failure_bounds(graph, 2.0 * ref)),
+            _bound_payload(_transition_bounds(graph, spectrum, 0.5 * ref)),
+            _bound_payload(_transition_bounds(graph, spectrum, 2.0 * ref)),
+            _bound_payload(_failure_bounds(graph, spectrum, 0.5 * ref)),
+            _bound_payload(_failure_bounds(graph, spectrum, 2.0 * ref)),
         ]
     outputs = [write_json(os.path.join(cfg.output_dir, "critical.json"), payload)]
     records = _scan(spectrum, _coupling_grid(0.5 * gc, 1.5 * gc, cfg.points))

@@ -80,6 +80,17 @@ def dense(label: str, gamma: float, w_index: int = 0) -> DenseReference:
     return DenseReference(family(label), gamma, w_index)
 
 
+def grid_amplitudes_reference(spec, t_max: float, num_points: int) -> np.ndarray:
+    """Amplitudes on linspace(0, t_max, num_points) as one plain exp(-i outer(t, E)) @ c.
+
+    Forms the coefficients -1/(sqrt(N) E_a F'(E_a)) itself and evaluates
+    every phase directly, so it shares no code with evolution.amplitudes.
+    """
+    times = np.linspace(0.0, float(t_max), num_points)
+    coeffs = -1.0 / (math.sqrt(spec.num_vertices) * spec.energies * spec.fprimes)
+    return np.exp(-1j * np.outer(times, spec.energies)) @ coeffs
+
+
 def cluster_weights(energies: np.ndarray, w: np.ndarray, s: np.ndarray, tol: float = 1e-7):
     """Aggregate overlap weights over near-degenerate eigenvalue clusters.
 

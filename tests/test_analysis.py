@@ -301,8 +301,9 @@ def test_transition_bounds_build_levels_once(monkeypatch):
 
 def test_subcritical_one_amplitude_grid_per_side(monkeypatch):
     calls = []
+    grid = qwsearch.evolution.OPTIMAL_TIME_GRID
     _counting(monkeypatch, (qwsearch.analysis, qwsearch.evolution), "amplitudes", calls,
-              keep=lambda spec, times: len(times) == qwsearch.evolution.OPTIMAL_TIME_GRID)
+              keep=lambda spec, t_max, num_points: num_points == grid)
     sides = [6, 8]
     subcritical_scaling(3, sides)
     assert len(calls) == len(sides)

@@ -145,12 +145,12 @@ def test_scaling_command_critical(tmp_path):
 
 
 def test_critical_command(tmp_path, monkeypatch):
-    # one level build for the command, plus one in each of the four bound suites
+    # one level build, shared by the critical search, the four bound suites and the scan
     builds = _count_level_builds(monkeypatch)
     rc = main(["critical", "--graph", "lattice:3:6", "--points", "11", "--format", "json",
                "--output-dir", str(tmp_path)])
     assert rc == 0
-    assert len(builds) == 5
+    assert len(builds) == 1
     header, rows = _read_csv(tmp_path / "critical_scan.csv")
     assert header == SCAN_COLUMNS
     assert len(rows) == 11

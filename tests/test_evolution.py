@@ -9,11 +9,13 @@ from _shared import (
     cluster_weights,
     dense,
     family,
+    grid_amplitudes_reference,
     scan_center,
     solved,
     spectral_clusters,
 )
 
+import qwsearch.evolution
 from qwsearch import (
     DenseReference,
     GraphFamily,
@@ -25,7 +27,7 @@ from qwsearch import (
     green_integral,
     trace,
 )
-from qwsearch.evolution import AMPLITUDE_BLOCK, spectral_coefficients
+from qwsearch.evolution import OPTIMAL_TIME_GRID, _grid_optimum
 
 
 def test_amplitude_at_zero_is_root_n():
@@ -53,16 +55,25 @@ def test_amplitude_matches_dense_16():
     assert abs(amplitude(spec, 1.0) - ref.amplitude(1.0)) < 1e-10
 
 
-def test_amplitude_grid_spans_blocks():
+@pytest.mark.parametrize("num_points", [2, 3, 2025, 2053, 4097, 100003])
+def test_amplitude_grid_matches_direct_sum(monkeypatch, num_points):
     spec = solved("lattice:2:16", 1.0)
-    rows = AMPLITUDE_BLOCK // spec.num_roots
-    times = np.linspace(0.0, 300.0, 3 * rows + 17)
-    amps = amplitudes(spec, times)
-    unblocked = np.exp(-1j * np.outer(times, spec.energies)) @ spectral_coefficients(spec)
-    assert np.max(np.abs(amps - unblocked)) <= 1e-15
-    for i in sorted({0, rows - 1, rows, 2 * rows, 3 * rows, len(times) - 1,
-                     *range(0, len(times), 997)}):
-        assert abs(amps[i] - amplitude(spec, float(times[i]))) <= 1e-14
+    t_max = 300.0
+    # Shrink the working-memory bound so the roots split into uneven chunks of 7.
+    block = math.isqrt(num_points - 1) + 1
+    table_rows = block + math.ceil(num_points / block)
+    monkeypatch.setattr(qwsearch.evolution, "AMPLITUDE_BLOCK", 7 * table_rows + 3)
+    assert spec.num_roots > 7 and spec.num_roots % 7 != 0
+    amps = amplitudes(spec, t_max, num_points)
+    times = np.linspace(0.0, t_max, num_points)
+    assert amps.shape == (num_points,)
+    assert abs(amps[0] * math.sqrt(spec.num_vertices) - 1.0) <= 1e-12
+    for t, a in zip(times.tolist(), amps.tolist()):
+        assert abs(a - amplitude(spec, t)) <= 1e-14
+    tr = trace(spec, t_max, num_points)
+    assert np.array_equal(tr.times, times)
+    assert tr.times[0] == 0.0 and tr.times[-1] == t_max
+    assert np.array_equal(tr.amplitudes, amps)
 
 
 def test_trace_grid_and_endpoints():
@@ -102,10 +113,21 @@ def test_optimal_probability_dominates_grid():
     spec = solved("lattice:3:8", 0.25)
     horizon = default_time_horizon(512)
     t_star, p_star = find_optimal_time(spec, horizon)
-    coeffs = spectral_coefficients(spec)
-    grid = np.linspace(0.0, horizon, 2048)
-    probs = np.abs(np.exp(-1j * np.outer(grid, spec.energies)) @ coeffs) ** 2
+    probs = np.abs(grid_amplitudes_reference(spec, horizon, OPTIMAL_TIME_GRID)) ** 2
     assert p_star >= probs.max() - 1e-15
+
+
+@pytest.mark.parametrize("label", ("lattice:5:8", "lattice:2:32", "lattice:4:16",
+                                   "lattice:2:64", "lattice:3:32"))
+def test_optimal_time_matches_plain_grid(label):
+    horizon = default_time_horizon(family(label).num_vertices)
+    for factor in (0.5, 1.0, 2.0):
+        spec = solved(label, factor * scan_center(label))
+        ref = grid_amplitudes_reference(spec, horizon, OPTIMAL_TIME_GRID)
+        t_ref, p_ref = _grid_optimum(spec, horizon, ref)
+        t_star, p_star = find_optimal_time(spec, horizon)
+        assert t_star == pytest.approx(t_ref, rel=1e-12)
+        assert p_star == pytest.approx(p_ref, rel=1e-12)
 
 
 def test_dense_oracle_time_zero():
