@@ -31,7 +31,6 @@ from .constants import (
     build_constant_table,
     epstein_sum,
     green_integral,
-    green_integral_bruteforce,
     inverse_energy_sum,
     log_law_fit,
     log_law_intercept,
@@ -44,25 +43,19 @@ from .evolution import (
     amplitude,
     amplitudes,
     default_time_horizon,
-    dense_oracle,
     find_optimal_time,
     trace,
 )
 from .graphs import (
     GraphFamily,
     LevelSpectrum,
-    dispersion,
-    dispersion_values,
     level_spectrum,
-    momentum_axis,
-    momentum_grid,
     neg_laplacian,
 )
 from .secular import (
     BracketError,
     SecularPoleError,
     SecularSpectrum,
-    ground_and_gap,
     lowest_two,
     secular_derivative,
     secular_value,
@@ -76,12 +69,11 @@ __all__ = [
     "critical_reference", "find_critical_gamma", "scan_gamma", "subcritical_scaling",
     "verify_failure_bounds", "verify_transition_bounds",
     "ConstantEntry", "DivergenceError", "NoRootError", "build_constant_table",
-    "epstein_sum", "green_integral", "green_integral_bruteforce", "inverse_energy_sum",
+    "epstein_sum", "green_integral", "inverse_energy_sum",
     "log_law_fit", "log_law_intercept", "scaling_function", "scaling_function_root",
     "DenseReference", "EvolutionTrace", "amplitude", "amplitudes", "default_time_horizon",
-    "dense_oracle", "find_optimal_time", "trace",
-    "GraphFamily", "LevelSpectrum", "dispersion", "dispersion_values", "level_spectrum",
-    "momentum_axis", "momentum_grid", "neg_laplacian",
-    "BracketError", "SecularPoleError", "SecularSpectrum", "ground_and_gap",
+    "find_optimal_time", "trace",
+    "GraphFamily", "LevelSpectrum", "level_spectrum", "neg_laplacian",
+    "BracketError", "SecularPoleError", "SecularSpectrum",
     "lowest_two", "secular_derivative", "secular_value", "solve_spectrum",
 ]

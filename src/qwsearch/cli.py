@@ -46,7 +46,7 @@ from .evolution import (
     trace,
 )
 from .graphs import GraphFamily, level_spectrum
-from .secular import ground_and_gap, secular_value, solve_spectrum
+from .secular import lowest_two, secular_value, solve_spectrum
 
 OUTPUT_DIR_ENV = "QWSEARCH_OUTPUT_DIR"
 
@@ -330,11 +330,11 @@ def _cmd_critical(cfg: RunConfig) -> list[str]:
     graph = parse_graph_spec(cfg.graph)
     spectrum = level_spectrum(graph)
     gc = _critical_gamma(spectrum)
-    e0, e1, gap = ground_and_gap(spectrum, gc)
+    e0, e1, _, _ = lowest_two(spectrum, gc)
     payload = {
         "graph": graph.label(),
         "gamma_critical": gc,
-        "gap": gap,
+        "gap": e1 - e0,
         "e0": e0,
         "e1": e1,
         "scan_center": coupling_scan_center(spectrum),

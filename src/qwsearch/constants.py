@@ -6,7 +6,9 @@ periodic lattices:
 * green_integral(j, d): the Brillouin-zone integral of 1/E(k)^j, finite for
   d > 2j.  Evaluated through the Laplace representation
   (2d)^-j / (j-1)! * int_0^inf a^(j-1) e^-a [I0(a/d)]^d da with the
-  exponentially scaled Bessel function, plus an asymptotic tail.
+  exponentially scaled Bessel function: a fixed composite Gauss-Legendre
+  rule on [0, QUAD_UPPER] (QUAD_NODES nodes on each of QUAD_PANELS
+  geometric panels), plus an asymptotic tail.
 * inverse_energy_sum(j, d, L): the exact finite-lattice sum
   (1/N) sum_{k != 0} E(k)^-j, which converges to the integral for d > 2j,
   grows like epstein_sum(j, d) * N^(2j/d - 1) for d < 2j, and picks up a
@@ -17,8 +19,10 @@ periodic lattices:
   (1/4 pi^2) (sum_{m != 0} x/(m^2 (m^2 - x)) - 1/x) whose negative root
   pins the rescaled ground-state energy for dim = 2, 3.
 
-All tolerances and truncation radii here are implementation choices; each
-value carries an explicit error estimate.
+The integer-lattice sums count vectors per squared norm by repeated 1d
+convolution through numpy's real FFT.  All tolerances and truncation radii
+here are implementation choices; each value carries an explicit error
+estimate.  The module needs numpy alone.
 """
 
 from __future__ import annotations
@@ -28,14 +32,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.signal import fftconvolve
-from scipy.special import i0e
 
-from ._util import compensated_sum
+from ._util import _EPS, compensated_sum
 from .graphs import GraphFamily, LevelSpectrum, level_spectrum
 
 QUAD_UPPER = 2000.0          # switchover from quadrature to the asymptotic tail
+QUAD_PANELS = 13             # geometric panels [0, U 2^-12], [U 2^-12, U 2^-11], ..., [U/2, U]
+QUAD_NODES = 24              # Gauss-Legendre nodes per panel
 EPSTEIN_TARGET = 1e-7        # radius doubling stops below this drift
 SCALING_RADIUS = 200         # lattice-sum radius for the scaling function
 X_ROOT_TOL = 1e-12
@@ -54,16 +57,37 @@ class NoRootError(ValueError):
 # Brillouin-zone integrals
 # ---------------------------------------------------------------------------
 
+def _panel_rule(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the QUAD_NODES-point Gauss-Legendre rule on every panel."""
+    nodes, weights = np.polynomial.legendre.leggauss(QUAD_NODES)
+    lo, half = edges[:-1, None], 0.5 * np.diff(edges)[:, None]
+    return (lo + half * (nodes + 1.0)).ravel(), (half * weights).ravel()
+
+
+_COARSE_EDGES = np.r_[0.0, QUAD_UPPER * 2.0 ** np.arange(1 - QUAD_PANELS, 1)]
+_FINE_EDGES = np.sort(np.r_[_COARSE_EDGES, 0.5 * (_COARSE_EDGES[:-1] + _COARSE_EDGES[1:])])
+
+
 @lru_cache(maxsize=None)
 def _green_integral_err(j: int, d: int) -> tuple[float, float]:
     if d <= 2 * j:
         raise DivergenceError(f"integral of E^-{j} diverges for d={d} <= 2j={2*j}")
     pref = 1.0 / ((2 * d) ** j * math.factorial(j - 1))
 
-    def integrand(a: float) -> float:
-        return pref * a ** (j - 1) * i0e(a / d) ** d
+    def rule(edges: np.ndarray) -> tuple[float, float]:
+        a, w = _panel_rule(edges)
+        x = a / d
+        wf = w * a ** (j - 1) * (np.i0(x) * np.exp(-x)) ** d
+        return pref * compensated_sum(wf), pref * float(np.sum(np.abs(wf)))
 
-    val, err = quad(integrand, 0.0, QUAD_UPPER, epsabs=1e-14, epsrel=1e-13, limit=800)
+    val, mass = rule(_COARSE_EDGES)
+    # The same rule on the panels halved estimates the quadrature error.  Where
+    # the two rules agree to the last bits, roundoff in the node values rules:
+    # np.i0(x) e^-x is good to about 2.5 ulps and its d-th power to about d
+    # times that, so the estimate keeps a floor of 2d ulps of sum |w f| (the
+    # sum itself is exact).  Against a 30-digit integral the largest error seen
+    # on the tabulated (j, d) is 7.4 ulps, at d = 9.
+    err = abs(rule(_FINE_EDGES)[0] - val) + 2.0 * d * _EPS * mass
     # Tail from the Bessel asymptotics (i0e(x))^d ~ (2 pi x)^(-d/2) (1 + d/(8x) + ...):
     # the integrand decays like a^(j-1-d/2), integrable precisely when d > 2j.
     p = j - d / 2.0
@@ -90,15 +114,6 @@ def _level_inverse_sum(levels: LevelSpectrum, j: int) -> float:
     return compensated_sum(terms) / levels.num_vertices
 
 
-def green_integral_bruteforce(j: int, d: int, side: int) -> float:
-    """Finite-lattice estimate of green_integral; converges as the side grows."""
-    if d <= 2 * j:
-        raise DivergenceError(f"finite sums do not converge to an integral for d={d} <= 2j={2*j}")
-    if side < 4:
-        raise ValueError(f"side must be >= 4 for a meaningful estimate, got {side}")
-    return inverse_energy_sum(j, d, side)
-
-
 # ---------------------------------------------------------------------------
 # Integer-lattice sums
 # ---------------------------------------------------------------------------
@@ -110,9 +125,14 @@ def _norm_counts(dim: int, limit: int) -> np.ndarray:
     one[0] = 1.0
     squares = np.arange(1, int(math.isqrt(limit)) + 1) ** 2
     one[squares] = 2.0
+    # Padding past the full linear length 2*limit + 1 keeps each product from
+    # wrapping around (one power of the kernel's spectrum would wrap for
+    # dim >= 3); a power of two keeps the transforms fast.
+    size = 1 << (2 * limit).bit_length()
+    kernel = np.fft.rfft(one, size)
     counts = one
     for _ in range(dim - 1):
-        counts = fftconvolve(counts, one)[: limit + 1]
+        counts = np.fft.irfft(np.fft.rfft(counts, size) * kernel, size)[: limit + 1]
     return np.rint(counts)
 
 

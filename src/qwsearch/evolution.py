@@ -146,12 +146,6 @@ class DenseReference:
         return self._s_row**2
 
 
-def dense_oracle(graph: GraphFamily, gamma: float, w_index: int, t: float,
-                 cap: int = DEFAULT_ORACLE_CAP) -> complex:
-    """Brute-force amplitude via full diagonalization; any marked vertex index."""
-    return DenseReference(graph, gamma, w_index, cap=cap).amplitude(t)
-
-
 def default_time_horizon(num_vertices: int) -> float:
     """Search window 4*sqrt(N); every built-in family peaks within it."""
     return 4.0 * np.sqrt(num_vertices)

@@ -64,20 +64,16 @@ class GraphFamily:
 
 @dataclass(frozen=True)
 class LevelSpectrum:
-    """Distinct eigenvalues of -L with multiplicities, plus the marked-vertex overlap 1/N."""
+    """Distinct eigenvalues of -L with multiplicities; every eigenvector overlaps the
+    marked vertex with squared magnitude 1/num_vertices."""
 
     energies: np.ndarray
     multiplicities: np.ndarray
     num_vertices: int
-    marked_overlap_sq: float
 
     @property
     def num_levels(self) -> int:
         return len(self.energies)
-
-    @property
-    def max_energy(self) -> float:
-        return float(self.energies[-1])
 
 
 def _freeze(energies: np.ndarray, multiplicities: np.ndarray, num_vertices: int) -> LevelSpectrum:
@@ -91,49 +87,8 @@ def _freeze(energies: np.ndarray, multiplicities: np.ndarray, num_vertices: int)
         raise AssertionError("multiplicities must sum to N")
     energies.setflags(write=False)
     multiplicities.setflags(write=False)
-    return LevelSpectrum(
-        energies=energies,
-        multiplicities=multiplicities,
-        num_vertices=int(num_vertices),
-        marked_overlap_sq=1.0 / num_vertices,
-    )
-
-
-def momentum_axis(side: int) -> np.ndarray:
-    """Integer mode numbers along one lattice direction.
-
-    Odd side L: 0, +-1, ..., +-(L-1)/2.  Even side L: 0, +-1, ...,
-    +-(L-2)/2, +L/2.  Either way there are exactly L values containing 0 once.
-    """
-    if side < 2:
-        raise ValueError(f"side must be >= 2, got {side}")
-    return np.arange(-((side - 1) // 2), side // 2 + 1, dtype=np.int64)
-
-
-def momentum_grid(dim: int, side: int) -> np.ndarray:
-    """All side**dim integer momentum vectors, shape (side**dim, dim)."""
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
-    axis = momentum_axis(side)
-    mesh = np.meshgrid(*([axis] * dim), indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=1)
-
-
-def dispersion(modes, dim: int, side: int) -> float:
-    """Lattice eigenvalue 2*(d - sum_j cos(2 pi m_j / L)) of -L at mode vector m."""
-    m = np.asarray(modes, dtype=float)
-    if m.shape[-1] != dim:
-        raise ValueError(f"mode vector has {m.shape[-1]} components, expected {dim}")
-    return float(2.0 * (dim - np.sum(np.cos(2.0 * np.pi * m / side), axis=-1)))
-
-
-def dispersion_values(dim: int, side: int) -> np.ndarray:
-    """Dispersion over the full momentum grid without materializing the grid."""
-    axis_cos = np.cos(2.0 * np.pi * momentum_axis(side) / side)
-    acc = np.zeros(1)
-    for _ in range(dim):
-        acc = (acc[:, None] + axis_cos[None, :]).ravel()
-    return 2.0 * (dim - acc)
+    return LevelSpectrum(energies=energies, multiplicities=multiplicities,
+                         num_vertices=int(num_vertices))
 
 
 def level_spectrum(graph: GraphFamily) -> LevelSpectrum:
@@ -150,8 +105,9 @@ def level_spectrum(graph: GraphFamily) -> LevelSpectrum:
         return _freeze(energies, mult, n)
     if graph.kind == "lattice":
         # Fold in cos(2 pi m / L), m = 0..L/2, counted twice where -m != m, one axis
-        # at a time (summed as in dispersion_values, so lattice:2:4 stays integer);
-        # after each fold, merge sums whose energies 2(k - sum) are within tolerance.
+        # at a time, summing the cosines before forming 2(d - sum) so lattice:2:4
+        # stays integer; after each fold, merge sums whose energies 2(k - sum) are
+        # within tolerance.
         half = np.arange(graph.side // 2 + 1)
         axis_cos = np.cos(2.0 * np.pi * half / graph.side)
         axis_count = np.where((half == 0) | (2 * half == graph.side), 1, 2)

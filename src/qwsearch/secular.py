@@ -222,9 +222,3 @@ def lowest_two(spectrum: LevelSpectrum, gamma: float):
         raise ValueError(f"gamma must be positive, got {gamma}")
     (e0, e1), (fp0, fp1) = _solve_brackets(spectrum, gamma, [0, 1])
     return float(e0), float(e1), float(fp0), float(fp1)
-
-
-def ground_and_gap(spectrum: LevelSpectrum, gamma: float):
-    """(E_0, E_1, E_1 - E_0) for the two lowest relevant roots."""
-    e0, e1, _, _ = lowest_two(spectrum, gamma)
-    return e0, e1, e1 - e0

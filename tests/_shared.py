@@ -16,12 +16,16 @@ import numpy as np
 
 from qwsearch import (
     DenseReference,
+    DivergenceError,
     GraphFamily,
     coupling_scan_center,
     find_critical_gamma,
+    inverse_energy_sum,
     level_spectrum,
+    lowest_two,
     solve_spectrum,
 )
+from qwsearch.evolution import DEFAULT_ORACLE_CAP
 from qwsearch.cli import parse_graph_spec
 
 # Test matrix for oracle equivalence and the exact-identity sweep.
@@ -80,6 +84,18 @@ def dense(label: str, gamma: float, w_index: int = 0) -> DenseReference:
     return DenseReference(family(label), gamma, w_index)
 
 
+def ground_and_gap(spectrum, gamma: float):
+    """(E_0, E_1, E_1 - E_0) for the two lowest relevant roots."""
+    e0, e1, _, _ = lowest_two(spectrum, gamma)
+    return e0, e1, e1 - e0
+
+
+def dense_oracle(graph: GraphFamily, gamma: float, w_index: int, t: float,
+                 cap: int = DEFAULT_ORACLE_CAP) -> complex:
+    """Brute-force amplitude via full diagonalization; any marked vertex index."""
+    return DenseReference(graph, gamma, w_index, cap=cap).amplitude(t)
+
+
 def grid_amplitudes_reference(spec, t_max: float, num_points: int) -> np.ndarray:
     """Amplitudes on linspace(0, t_max, num_points) as one plain exp(-i outer(t, E)) @ c.
 
@@ -115,6 +131,56 @@ def spectral_clusters(label: str, gamma: float, tol: float = 1e-7):
     w = np.concatenate([spec.w_weights, np.zeros(len(pole_energies))])
     s = np.concatenate([spec.s_weights, np.zeros(len(pole_energies))])
     return cluster_weights(e, w, s, tol)
+
+
+# ---------------------------------------------------------------------------
+# Momentum-space lattice oracles (never reuse qwsearch.graphs.level_spectrum)
+# ---------------------------------------------------------------------------
+
+def momentum_axis(side: int) -> np.ndarray:
+    """Integer mode numbers along one lattice direction.
+
+    Odd side L: 0, +-1, ..., +-(L-1)/2.  Even side L: 0, +-1, ...,
+    +-(L-2)/2, +L/2.  Either way there are exactly L values containing 0 once.
+    """
+    if side < 2:
+        raise ValueError(f"side must be >= 2, got {side}")
+    return np.arange(-((side - 1) // 2), side // 2 + 1, dtype=np.int64)
+
+
+def momentum_grid(dim: int, side: int) -> np.ndarray:
+    """All side**dim integer momentum vectors, shape (side**dim, dim)."""
+    if dim < 1:
+        raise ValueError(f"dim must be >= 1, got {dim}")
+    axis = momentum_axis(side)
+    mesh = np.meshgrid(*([axis] * dim), indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=1)
+
+
+def dispersion(modes, dim: int, side: int) -> float:
+    """Lattice eigenvalue 2*(d - sum_j cos(2 pi m_j / L)) of -L at mode vector m."""
+    m = np.asarray(modes, dtype=float)
+    if m.shape[-1] != dim:
+        raise ValueError(f"mode vector has {m.shape[-1]} components, expected {dim}")
+    return float(2.0 * (dim - np.sum(np.cos(2.0 * np.pi * m / side), axis=-1)))
+
+
+def dispersion_values(dim: int, side: int) -> np.ndarray:
+    """Dispersion over the full momentum grid without materializing the grid."""
+    axis_cos = np.cos(2.0 * np.pi * momentum_axis(side) / side)
+    acc = np.zeros(1)
+    for _ in range(dim):
+        acc = (acc[:, None] + axis_cos[None, :]).ravel()
+    return 2.0 * (dim - acc)
+
+
+def green_integral_bruteforce(j: int, d: int, side: int) -> float:
+    """Finite-lattice estimate of green_integral; converges as the side grows."""
+    if d <= 2 * j:
+        raise DivergenceError(f"finite sums do not converge to an integral for d={d} <= 2j={2*j}")
+    if side < 4:
+        raise ValueError(f"side must be >= 4 for a meaningful estimate, got {side}")
+    return inverse_energy_sum(j, d, side)
 
 
 # ---------------------------------------------------------------------------

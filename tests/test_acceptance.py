@@ -25,6 +25,7 @@ from _shared import (
     cluster_weights,
     critical,
     family,
+    ground_and_gap,
     levels,
     round_sig,
     scan_center,
@@ -40,7 +41,6 @@ from qwsearch import (
     find_critical_gamma,
     find_optimal_time,
     green_integral,
-    ground_and_gap,
     log_law_intercept,
     scaling_function_root,
     solve_spectrum,

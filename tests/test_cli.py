@@ -264,13 +264,38 @@ def test_svg_plot(tmp_path):
     assert svg.startswith("<svg") and "polyline" in svg
 
 
-def test_module_entry_point(tmp_path):
+def _src_env():
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return env
+
+
+def test_module_entry_point(tmp_path):
+    env = _src_env()
     proc = subprocess.run(
         [sys.executable, "-m", "qwsearch", "spectrum", "--graph", "complete:8",
          "--gamma", "0.125", "--output-dir", str(tmp_path)],
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert (tmp_path / "spectrum.csv").exists()
+
+
+def test_runtime_loads_no_scipy(tmp_path):
+    # The constants layer, the analytic critical couplings and the constants
+    # command run on numpy alone, so a fresh interpreter never imports scipy.
+    script = "\n".join([
+        "import sys",
+        "import qwsearch",
+        "from qwsearch.cli import main, parse_graph_spec",
+        "qwsearch.build_constant_table()",
+        "for label in ('lattice:2:64', 'lattice:3:8', 'lattice:4:6', 'lattice:5:4'):",
+        "    qwsearch.critical_reference(parse_graph_spec(label))",
+        f"assert main(['constants', '--output-dir', {str(tmp_path)!r}]) == 0",
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+    ])
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, env=_src_env())
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "constants.csv").exists()
+    assert proc.stdout.strip().splitlines()[-1] == "[]"

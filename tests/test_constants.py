@@ -1,9 +1,10 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
-from _shared import round_sig
+from _shared import dispersion_values, green_integral_bruteforce, round_sig
 
 from qwsearch import (
     DivergenceError,
@@ -11,15 +12,13 @@ from qwsearch import (
     build_constant_table,
     epstein_sum,
     green_integral,
-    green_integral_bruteforce,
     inverse_energy_sum,
     log_law_fit,
     log_law_intercept,
     scaling_function,
     scaling_function_root,
 )
-from qwsearch.constants import SCALING_RADIUS
-from qwsearch.graphs import dispersion_values
+from qwsearch.constants import SCALING_RADIUS, _norm_counts
 
 # Published 3-digit table for the convergent integrals.  The (2, 5) entry is
 # not reproducible from the defining integral: quadrature and finite-lattice
@@ -63,6 +62,20 @@ def test_green_integral_error_estimates():
             scale = 10.0 ** math.floor(math.log10(abs(entry.value)))
             assert entry.error_estimate < 0.5 * scale * 1e-2
             assert entry.error_estimate > 0.0
+
+
+@pytest.mark.parametrize("j,d", [(1, 3), (1, 5), (2, 6), (1, 10)])
+def test_green_integral_within_estimate_of_mpmath(j, d):
+    # 30-digit tanh-sinh quadrature of the Laplace representation over [0, inf):
+    # no fixed panels, no upper limit and no asymptotic tail.
+    entry = next(e for e in build_constant_table() if e.kind == "I" and (e.j, e.d) == (j, d))
+    with mpmath.workdps(30):
+        pref = mpmath.mpf(1) / ((2 * d) ** j * math.factorial(j - 1))
+        exact = mpmath.quad(
+            lambda a: pref * a ** (j - 1) * (mpmath.besseli(0, a / d) * mpmath.exp(-a / d)) ** d,
+            [0, 1, 10, 100, 1000, 10000, mpmath.inf])
+        distance = float(abs(mpmath.mpf(entry.value) - exact))
+    assert distance <= entry.error_estimate
 
 
 def test_bruteforce_matches_integral_d4():
@@ -111,6 +124,16 @@ def _direct_epstein(j, d, radius):
     surf = 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
     tail = surf * radius ** (d - 2 * j) / (2 * j - d)
     return (body + tail) / (2.0 * math.pi) ** (2 * j)
+
+
+@pytest.mark.parametrize("dim,limit", [(1, 200**2), (2, 200**2), (3, 50**2)])
+def test_norm_counts_match_direct_count(dim, limit):
+    radius = math.isqrt(limit)
+    axes = np.arange(-radius, radius + 1)
+    mesh = np.meshgrid(*([axes] * dim), indexing="ij")
+    norm_sq = sum(m**2 for m in mesh).ravel()
+    direct = np.bincount(norm_sq[norm_sq <= limit], minlength=limit + 1)
+    assert np.array_equal(_norm_counts(dim, limit), direct)
 
 
 def test_epstein_matches_direct_summation():

@@ -8,6 +8,7 @@ from _shared import (
     ORACLE_FAMILIES,
     cluster_weights,
     dense,
+    dense_oracle,
     family,
     grid_amplitudes_reference,
     scan_center,
@@ -22,7 +23,6 @@ from qwsearch import (
     amplitude,
     amplitudes,
     default_time_horizon,
-    dense_oracle,
     find_optimal_time,
     green_integral,
     trace,

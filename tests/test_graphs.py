@@ -4,17 +4,18 @@ import mpmath
 import numpy as np
 import pytest
 
-from _shared import dense_neg_laplacian_reference, family, group_close, levels
-
-from qwsearch import (
-    GraphFamily,
+from _shared import (
+    dense_neg_laplacian_reference,
     dispersion,
     dispersion_values,
-    level_spectrum,
+    family,
+    group_close,
+    levels,
     momentum_axis,
     momentum_grid,
-    neg_laplacian,
 )
+
+from qwsearch import GraphFamily, level_spectrum, neg_laplacian
 from qwsearch.graphs import LEVEL_GROUP_TOL
 
 
@@ -59,7 +60,7 @@ def test_level_spectrum_complete_4():
     ls = level_spectrum(GraphFamily.complete(4))
     assert ls.energies.tolist() == [0.0, 4.0]
     assert ls.multiplicities.tolist() == [1, 3]
-    assert ls.marked_overlap_sq == pytest.approx(0.25)
+    assert 1.0 / ls.num_vertices == pytest.approx(0.25)
 
 
 def test_level_spectrum_lattice_2_4():
@@ -98,7 +99,7 @@ def test_multiplicities_sum_to_n(label):
     ("complete:12", 11), ("hypercube:5", 5), ("lattice:3:5", 6), ("lattice:2:4", 4),
 ])
 def test_energies_within_laplacian_bound(label, max_degree):
-    assert levels(label).max_energy <= 2.0 * max_degree + 1e-9
+    assert levels(label).energies[-1] <= 2.0 * max_degree + 1e-9
 
 
 @pytest.mark.parametrize("dim,side", [(1, 4), (2, 4), (2, 6), (3, 4), (4, 2)])

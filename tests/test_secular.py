@@ -7,6 +7,7 @@ import pytest
 from _shared import (
     IDENTITY_FAMILIES,
     IDENTITY_GAMMA_FACTORS,
+    ground_and_gap,
     levels,
     mp_secular_solution,
     scan_center,
@@ -19,7 +20,6 @@ from qwsearch import (
     GraphFamily,
     SecularPoleError,
     green_integral,
-    ground_and_gap,
     level_spectrum,
     lowest_two,
     secular_derivative,
