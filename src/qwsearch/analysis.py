@@ -18,8 +18,8 @@ import numpy as np
 from ._util import brent_root
 from .constants import (
     NoRootError,
-    _level_inverse_sum,
     green_integral,
+    inverse_energy_sum,
     log_law_intercept,
     scaling_function_root,
 )
@@ -146,10 +146,6 @@ def _record(n: int, gamma: float, e0: float, e1: float, fp0: float, fp1: float) 
     )
 
 
-def _two_level_record(spectrum: LevelSpectrum, gamma: float) -> ScanRecord:
-    return _record(spectrum.num_vertices, gamma, *lowest_two(spectrum, gamma))
-
-
 def _two_level_grid(spectrum: LevelSpectrum, grid: np.ndarray) -> np.ndarray:
     """Rows (e0, e1, fprime0, fprime1) at each coupling, from one kernel call."""
     roots, fprimes = _solve_brackets(spectrum, np.repeat(grid, 2), np.tile([0, 1], len(grid)))
@@ -161,24 +157,16 @@ def _gap_slope(e0, e1, fp0, fp1):
     return e1 + 1.0 / fp1 - e0 - 1.0 / fp0
 
 
-def _coupling_grid(gamma_lo: float, gamma_hi: float, num_points: int) -> np.ndarray:
-    if not 0.0 < gamma_lo < gamma_hi:
-        raise ValueError(f"need 0 < gamma_lo < gamma_hi, got {gamma_lo}, {gamma_hi}")
-    if num_points < 2:
-        raise ValueError(f"need at least 2 scan points, got {num_points}")
-    return np.linspace(gamma_lo, gamma_hi, num_points)
-
-
 def scan_gamma(graph: GraphFamily, gamma_lo: float, gamma_hi: float,
                num_points: int) -> list[ScanRecord]:
     """Gap and two-level overlaps on a uniform coupling grid."""
-    grid = _coupling_grid(gamma_lo, gamma_hi, num_points)
-    return _scan(level_spectrum(graph), grid)
-
-
-def _scan(spectrum: LevelSpectrum, grid: np.ndarray) -> list[ScanRecord]:
-    n = spectrum.num_vertices
-    return [_record(n, g, *row) for g, row in zip(grid, _two_level_grid(spectrum, grid).tolist())]
+    if not 0.0 < gamma_lo < gamma_hi < math.inf:
+        raise ValueError(f"need 0 < gamma_lo < gamma_hi < inf, got {gamma_lo}, {gamma_hi}")
+    if num_points < 2:
+        raise ValueError(f"need at least 2 scan points, got {num_points}")
+    grid = np.linspace(gamma_lo, gamma_hi, num_points)
+    rows = _two_level_grid(level_spectrum(graph), grid).tolist()
+    return [_record(graph.num_vertices, g, *row) for g, row in zip(grid, rows)]
 
 
 def find_critical_gamma(graph: GraphFamily) -> float:
@@ -191,10 +179,7 @@ def find_critical_gamma(graph: GraphFamily) -> float:
     the gap minimum is not inside the window, and the grid argmin is
     returned.
     """
-    return _critical_gamma(level_spectrum(graph))
-
-
-def _critical_gamma(spectrum: LevelSpectrum) -> float:
+    spectrum = level_spectrum(graph)
     center = coupling_scan_center(spectrum)
     grid = np.linspace(center / 3.0, 3.0 * center, COARSE_SCAN_POINTS)
     e0, e1, fp0, fp1 = _two_level_grid(spectrum, grid).T
@@ -233,17 +218,14 @@ def verify_transition_bounds(graph: GraphFamily, gamma: float) -> BoundReport:
     inequality (no slack) and through the closed form obtained by inserting
     the energy bound (slack squared).
     """
-    return _transition_bounds(graph, level_spectrum(graph), gamma)
-
-
-def _transition_bounds(graph: GraphFamily, spectrum: LevelSpectrum, gamma: float) -> BoundReport:
     gamma_ref, margin = _require_clear_of_critical(graph, gamma)
     d = graph.dim
     n = graph.num_vertices
     slack = SLACK_D2 if d == 2 else SLACK_SMALL_TERMS
-    rec = _two_level_record(spectrum, gamma)
+    spectrum = level_spectrum(graph)
+    rec = _record(n, gamma, *lowest_two(spectrum, gamma))
     e0, e1, s0, s1 = rec.e0, rec.e1, rec.overlap_s_psi0, rec.overlap_s_psi1
-    s2_sum = _level_inverse_sum(spectrum, 2) * n      # sum_{k != 0} E_k^-2
+    s2_sum = inverse_energy_sum(2, d, graph.side) * n      # sum_{k != 0} E_k^-2
     checks = []
     if gamma > gamma_ref:
         branch = "above"
@@ -301,15 +283,11 @@ def verify_failure_bounds(graph: GraphFamily, gamma: float) -> BoundReport:
     the ground-energy bound; below it, dimension-specific resolvent bounds
     put a floor under |E_0| that caps the amplitude.
     """
-    return _failure_bounds(graph, level_spectrum(graph), gamma)
-
-
-def _failure_bounds(graph: GraphFamily, spectrum: LevelSpectrum, gamma: float) -> BoundReport:
     gamma_ref, margin = _require_clear_of_critical(graph, gamma)
-    d, side = graph.dim, graph.side
+    d = graph.dim
     n = graph.num_vertices
     slack = SLACK_D2 if d == 2 else SLACK_SMALL_TERMS
-    spec = solve_spectrum(spectrum, gamma)
+    spec = solve_spectrum(level_spectrum(graph), gamma)
     max_amp = float(np.max(np.abs(amplitudes(spec, default_time_horizon(n), OPTIMAL_TIME_GRID))))
     e0 = spec.energies[0]
     sqrt_n = math.sqrt(n)
@@ -378,7 +356,7 @@ def critical_predictions(d: int, sides: list[int],
         n = graph.num_vertices
         i2 = math.log(n) / (32.0 * math.pi**2) if d == 4 else green_integral(2, d)
         spectrum = level_spectrum(graph)
-        gc = _critical_gamma(spectrum)
+        gc = find_critical_gamma(graph)
         spec = solve_spectrum(spectrum, gc)
         horizon = default_time_horizon(n)
         t_star, p_star = find_optimal_time(spec, horizon)
@@ -426,9 +404,8 @@ def subcritical_scaling(d: int, sides: list[int]) -> SubcriticalReport:
     for side in sides:
         graph = GraphFamily.lattice(d, side)
         n = graph.num_vertices
-        spectrum = level_spectrum(graph)
-        gc = _critical_gamma(spectrum)
-        spec = solve_spectrum(spectrum, gc)
+        gc = find_critical_gamma(graph)
+        spec = solve_spectrum(level_spectrum(graph), gc)
         horizon = default_time_horizon(n)
         amps = amplitudes(spec, horizon, OPTIMAL_TIME_GRID)
         max_amp = float(np.max(np.abs(amps)))

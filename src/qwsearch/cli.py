@@ -26,15 +26,14 @@ from .analysis import (
     PredictionRecord,
     ScalingRecord,
     ScanRecord,
-    _coupling_grid,
-    _critical_gamma,
-    _failure_bounds,
-    _scan,
-    _transition_bounds,
     coupling_scan_center,
     critical_predictions,
     critical_reference,
+    find_critical_gamma,
+    scan_gamma,
     subcritical_scaling,
+    verify_failure_bounds,
+    verify_transition_bounds,
 )
 from .constants import ConstantEntry, build_constant_table
 from .evolution import (
@@ -121,11 +120,9 @@ class RunConfig:
 # ---------------------------------------------------------------------------
 
 def _fnum(x) -> str:
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if isinstance(x, float) and math.isnan(x):
-        return "nan"
-    return format(float(x), ".17g")
+    if isinstance(x, (float, np.floating)):
+        return format(float(x), ".17g")
+    return str(int(x)) if isinstance(x, (int, np.integer)) else str(x)
 
 
 def _atomic_write(path: str, data: str):
@@ -145,8 +142,7 @@ def _atomic_write(path: str, data: str):
 def write_csv(path: str, header: list[str], rows: list[list]) -> str:
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(_fnum(v) if isinstance(v, (int, float, np.floating, np.integer))
-                              else str(v) for v in row))
+        lines.append(",".join(map(_fnum, row)))
     _atomic_write(path, "\n".join(lines) + "\n")
     return path
 
@@ -286,13 +282,13 @@ def _cmd_spectrum(cfg: RunConfig) -> list[str]:
 
 
 def _cmd_scan(cfg: RunConfig) -> list[str]:
-    spectrum = level_spectrum(parse_graph_spec(cfg.graph))
+    graph = parse_graph_spec(cfg.graph)
     if cfg.gamma_lo is None or cfg.gamma_hi is None:
-        center = coupling_scan_center(spectrum)
+        center = coupling_scan_center(level_spectrum(graph))
         lo, hi = 0.5 * center, 1.5 * center
     else:
         lo, hi = cfg.gamma_lo, cfg.gamma_hi
-    records = _scan(spectrum, _coupling_grid(lo, hi, cfg.points))
+    records = scan_gamma(graph, lo, hi, cfg.points)
     outputs: list[str] = []
     _emit_table(cfg, "scan", *_table(ScanRecord, records), outputs)
     return outputs
@@ -328,8 +324,12 @@ def _bound_payload(report) -> dict:
 
 def _cmd_critical(cfg: RunConfig) -> list[str]:
     graph = parse_graph_spec(cfg.graph)
+    bounded = graph.kind == "lattice" and graph.dim >= 2
+    # First: at d = 2 the reference fits other lattices' levels, which would
+    # evict this graph's levels from the one-entry memo.
+    ref = critical_reference(graph) if bounded else None
     spectrum = level_spectrum(graph)
-    gc = _critical_gamma(spectrum)
+    gc = find_critical_gamma(graph)
     e0, e1, _, _ = lowest_two(spectrum, gc)
     payload = {
         "graph": graph.label(),
@@ -339,17 +339,15 @@ def _cmd_critical(cfg: RunConfig) -> list[str]:
         "e1": e1,
         "scan_center": coupling_scan_center(spectrum),
     }
-    if graph.kind == "lattice" and graph.dim >= 2:
-        ref = critical_reference(graph)
+    if bounded:
         payload["gamma_reference"] = ref
         payload["bounds"] = [
-            _bound_payload(_transition_bounds(graph, spectrum, 0.5 * ref)),
-            _bound_payload(_transition_bounds(graph, spectrum, 2.0 * ref)),
-            _bound_payload(_failure_bounds(graph, spectrum, 0.5 * ref)),
-            _bound_payload(_failure_bounds(graph, spectrum, 2.0 * ref)),
+            _bound_payload(verify(graph, factor * ref))
+            for verify in (verify_transition_bounds, verify_failure_bounds)
+            for factor in (0.5, 2.0)
         ]
     outputs = [write_json(os.path.join(cfg.output_dir, "critical.json"), payload)]
-    records = _scan(spectrum, _coupling_grid(0.5 * gc, 1.5 * gc, cfg.points))
+    records = scan_gamma(graph, 0.5 * gc, 1.5 * gc, cfg.points)
     _emit_table(cfg, "critical_scan", *_table(ScanRecord, records), outputs)
     return outputs
 
@@ -441,9 +439,9 @@ def _clustered(energies: np.ndarray, w: np.ndarray, s: np.ndarray, tol: float = 
 def _cmd_figures(cfg: RunConfig) -> list[str]:
     outputs: list[str] = []
     for stem, label in FIGURE_SCANS:
-        spectrum = level_spectrum(parse_graph_spec(label))
-        center = coupling_scan_center(spectrum)
-        records = _scan(spectrum, _coupling_grid(0.5 * center, 1.5 * center, 101))
+        graph = parse_graph_spec(label)
+        center = coupling_scan_center(level_spectrum(graph))
+        records = scan_gamma(graph, 0.5 * center, 1.5 * center, 101)
         _emit_table(cfg, stem, *_table(ScanRecord, records), outputs)
     graph = parse_graph_spec(FIGURE_SECULAR_GRAPH)
     spectrum = level_spectrum(graph)

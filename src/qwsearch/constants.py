@@ -34,7 +34,7 @@ from functools import lru_cache
 import numpy as np
 
 from ._util import _EPS, compensated_sum
-from .graphs import GraphFamily, LevelSpectrum, level_spectrum
+from .graphs import GraphFamily, level_spectrum
 
 QUAD_UPPER = 2000.0          # switchover from quadrature to the asymptotic tail
 QUAD_PANELS = 13             # geometric panels [0, U 2^-12], [U 2^-12, U 2^-11], ..., [U/2, U]
@@ -105,11 +105,7 @@ def green_integral(j: int, d: int) -> float:
 
 def inverse_energy_sum(j: int, d: int, side: int) -> float:
     """Exact finite sum (1/N) sum_{k != 0} E(k)^-j on the side^d torus."""
-    return _level_inverse_sum(level_spectrum(GraphFamily.lattice(d, side)), j)
-
-
-def _level_inverse_sum(levels: LevelSpectrum, j: int) -> float:
-    """(1/N) sum_{k != 0} m_k E_k^-j over already built levels."""
+    levels = level_spectrum(GraphFamily.lattice(d, side))
     terms = levels.multiplicities[1:] * levels.energies[1:] ** (-float(j))
     return compensated_sum(terms) / levels.num_vertices
 

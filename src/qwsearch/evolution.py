@@ -76,8 +76,8 @@ def amplitude(spec: SecularSpectrum, t: float) -> complex:
 
 def trace(spec: SecularSpectrum, t_max: float, num_points: int) -> EvolutionTrace:
     """Amplitude and probability on a uniform time grid including both endpoints."""
-    if t_max <= 0.0:
-        raise ValueError(f"t_max must be positive, got {t_max}")
+    if not 0.0 < t_max < math.inf:
+        raise ValueError(f"t_max must be positive and finite, got {t_max}")
     if num_points < 2:
         raise ValueError(f"need at least 2 time points, got {num_points}")
     times = np.linspace(0.0, float(t_max), int(num_points))
@@ -93,8 +93,8 @@ def find_optimal_time(spec: SecularSpectrum, t_max: float, grid_points: int = OP
 
     Returns (t_star, p_star) with p_star at least the best grid probability.
     """
-    if t_max <= 0.0:
-        raise ValueError(f"t_max must be positive, got {t_max}")
+    if not 0.0 < t_max < math.inf:
+        raise ValueError(f"t_max must be positive and finite, got {t_max}")
     return _grid_optimum(spec, t_max, amplitudes(spec, t_max, grid_points))
 
 

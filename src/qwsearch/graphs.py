@@ -12,6 +12,7 @@ computation needs.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -91,8 +92,12 @@ def _freeze(energies: np.ndarray, multiplicities: np.ndarray, num_vertices: int)
                          num_vertices=int(num_vertices))
 
 
+# One entry: a computation asks for one graph's levels from several layers, and
+# keeping only the last graph holds nothing across computations.  The arrays are
+# read-only (_freeze), so every caller may share the one object.
+@functools.lru_cache(maxsize=1)
 def level_spectrum(graph: GraphFamily) -> LevelSpectrum:
-    """Compressed spectrum of -L for any supported family."""
+    """Compressed spectrum of -L for any supported family; the last graph's is kept."""
     n = graph.num_vertices
     if graph.kind == "complete":
         # L + N*I is N times the projector on the uniform state, so -L has

@@ -193,8 +193,8 @@ def solve_spectrum(spectrum: LevelSpectrum, gamma: float) -> SecularSpectrum:
     consecutive distinct scaled levels.  Roots with vanishing weight are
     retained; completeness and the sum rule need the full relevant set.
     """
-    if gamma <= 0.0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
+    if not 0.0 < gamma < np.inf:
+        raise ValueError(f"gamma must be positive and finite, got {gamma}")
     n = spectrum.num_vertices
     roots, fprimes = _solve_brackets(spectrum, gamma, np.arange(spectrum.num_levels))
     w = 1.0 / fprimes
@@ -218,7 +218,7 @@ def lowest_two(spectrum: LevelSpectrum, gamma: float):
     Returns (e0, e1, fprime0, fprime1) without solving the full spectrum;
     gamma scans only need the two lowest states.
     """
-    if gamma <= 0.0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
+    if not 0.0 < gamma < np.inf:
+        raise ValueError(f"gamma must be positive and finite, got {gamma}")
     (e0, e1), (fp0, fp1) = _solve_brackets(spectrum, gamma, [0, 1])
     return float(e0), float(e1), float(fp0), float(fp1)

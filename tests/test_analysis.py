@@ -6,7 +6,6 @@ import pytest
 from _shared import _counting, critical, family, levels, scan_center, solved
 
 import qwsearch.analysis
-import qwsearch.constants
 import qwsearch.evolution
 import qwsearch.secular
 from qwsearch import (
@@ -15,6 +14,8 @@ from qwsearch import (
     critical_reference,
     find_critical_gamma,
     green_integral,
+    inverse_energy_sum,
+    level_spectrum,
     log_law_intercept,
     lowest_two,
     scan_gamma,
@@ -46,13 +47,18 @@ def test_scan_validation():
         scan_gamma(g, 0.5, 0.2, 10)
     with pytest.raises(ValueError):
         scan_gamma(g, 0.1, 0.5, 1)
+    for lo, hi in ((0.1, math.inf), (math.nan, 0.5), (0.1, math.nan)):
+        with pytest.raises(ValueError):
+            scan_gamma(g, lo, hi, 10)
 
 
 @pytest.mark.parametrize("label, points", [("complete:1024", 11), ("lattice:3:6", 21)])
 def test_scan_matches_per_coupling_records(label, points):
     records = scan_gamma(family(label), *_window(label), points)
     grid = np.linspace(*_window(label), points)
-    assert records == [qwsearch.analysis._two_level_record(levels(label), g) for g in grid]
+    ls = levels(label)
+    assert records == [qwsearch.analysis._record(ls.num_vertices, g, *lowest_two(ls, g))
+                       for g in grid]
 
 
 def test_scan_complete_gap_minimum():
@@ -177,7 +183,7 @@ def test_critical_gamma_kernel_calls(monkeypatch, label):
     # one batched call for the coarse grid, then one lowest_two per Brent step
     calls = []
     _counting(monkeypatch, (qwsearch.secular, qwsearch.analysis), "_solve_brackets", calls)
-    qwsearch.analysis._critical_gamma(levels(label))
+    find_critical_gamma(family(label))
     rows = sorted(len(brackets) for _, _, brackets in calls)
     assert rows[-1] == 2 * qwsearch.analysis.COARSE_SCAN_POINTS
     assert rows[:-1] == [2] * (len(rows) - 1) and len(rows) - 1 <= 16
@@ -192,7 +198,7 @@ def test_critical_gamma_falls_back_to_grid(monkeypatch, label, shift, index):
     center = shift * scan_center(label)
     monkeypatch.setattr(qwsearch.analysis, "coupling_scan_center", lambda spectrum: center)
     grid = np.linspace(center / 3.0, 3.0 * center, qwsearch.analysis.COARSE_SCAN_POINTS)
-    assert qwsearch.analysis._critical_gamma(levels(label)) == grid[index]
+    assert find_critical_gamma(family(label)) == grid[index]
 
 
 def test_critical_reference_lattice_only():
@@ -291,12 +297,28 @@ def test_subcritical_rejects_other_dims():
         subcritical_scaling(5, [4])
 
 
-def test_transition_bounds_build_levels_once(monkeypatch):
-    calls = []
-    _counting(monkeypatch, (qwsearch.analysis, qwsearch.constants), "level_spectrum", calls)
+def test_transition_bounds_build_levels_once():
+    level_spectrum.cache_clear()
     report = verify_transition_bounds(family("lattice:3:10"), 0.5 * green_integral(1, 3))
-    assert len(calls) == 1
+    assert level_spectrum.cache_info().misses == 1
     assert report.all_pass()
+
+
+def test_large_lattice_sequence_builds_levels_once():
+    # the large-lattice benchmark task shares one build across its layers
+    graph = family("lattice:3:10")
+    level_spectrum.cache_clear()
+    level_spectrum(graph)
+    inverse_energy_sum(2, 3, 10)
+    verify_transition_bounds(graph, 0.5 * critical_reference(graph))
+    find_critical_gamma(graph)
+    assert level_spectrum.cache_info().misses == 1
+    # the memo keeps one graph, so alternating graphs rebuild on every call
+    level_spectrum.cache_clear()
+    for side in (10, 8, 10, 8):
+        inverse_energy_sum(2, 3, side)
+    info = level_spectrum.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (4, 0, 1)
 
 
 def test_subcritical_one_amplitude_grid_per_side(monkeypatch):
@@ -313,11 +335,10 @@ def test_subcritical_one_amplitude_grid_per_side(monkeypatch):
     (lambda: subcritical_scaling(3, [6, 8]), 2),
     (lambda: critical_predictions(5, [4], measure_window=False), 1),
 ], ids=["subcritical", "critical"])
-def test_experiments_build_levels_once_per_side(monkeypatch, run, builds):
-    calls = []
-    _counting(monkeypatch, (qwsearch.analysis, qwsearch.constants), "level_spectrum", calls)
+def test_experiments_build_levels_once_per_side(run, builds):
+    level_spectrum.cache_clear()
     run()
-    assert len(calls) == builds
+    assert level_spectrum.cache_info().misses == builds
 
 
 def test_subcritical_d3_small():

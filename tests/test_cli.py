@@ -6,12 +6,8 @@ import sys
 import numpy as np
 import pytest
 
-from _shared import _counting
-
-import qwsearch.analysis
-import qwsearch.cli
-import qwsearch.constants
 import qwsearch.secular
+from qwsearch import level_spectrum
 from qwsearch.cli import SCAN_HEADER, GraphSpecError, main, parse_graph_spec
 
 SCAN_COLUMNS = ["gamma", "e0", "e1", "gap", "overlap_s_psi0",
@@ -80,18 +76,11 @@ def test_scan_command_schema(tmp_path):
         "fmt": "csv", "plot": "none", "seed": 0, "oracle_cap": 4096}
 
 
-def _count_level_builds(monkeypatch):
-    calls = []
-    _counting(monkeypatch, (qwsearch.cli, qwsearch.analysis, qwsearch.constants),
-              "level_spectrum", calls)
-    return calls
-
-
-def test_scan_command_builds_levels_once(tmp_path, monkeypatch):
-    builds = _count_level_builds(monkeypatch)
+def test_scan_command_builds_levels_once(tmp_path):
+    level_spectrum.cache_clear()
     rc = main(["scan", "--graph", "lattice:3:6", "--points", "5", "--output-dir", str(tmp_path)])
     assert rc == 0
-    assert len(builds) == 1
+    assert level_spectrum.cache_info().misses == 1
 
 
 def test_evolve_command(tmp_path):
@@ -144,13 +133,13 @@ def test_scaling_command_critical(tmp_path):
         "fmt": "csv", "plot": "none", "seed": 0, "oracle_cap": 4096}
 
 
-def test_critical_command(tmp_path, monkeypatch):
+def test_critical_command(tmp_path):
     # one level build, shared by the critical search, the four bound suites and the scan
-    builds = _count_level_builds(monkeypatch)
+    level_spectrum.cache_clear()
     rc = main(["critical", "--graph", "lattice:3:6", "--points", "11", "--format", "json",
                "--output-dir", str(tmp_path)])
     assert rc == 0
-    assert len(builds) == 1
+    assert level_spectrum.cache_info().misses == 1
     header, rows = _read_csv(tmp_path / "critical_scan.csv")
     assert header == SCAN_COLUMNS
     assert len(rows) == 11
@@ -178,11 +167,11 @@ def test_validate_command(tmp_path):
     assert report["worst_delta"] < 1e-8
 
 
-def test_figures_command(tmp_path, monkeypatch):
-    builds = _count_level_builds(monkeypatch)
+def test_figures_command(tmp_path):
+    level_spectrum.cache_clear()
     rc = main(["figures", "--output-dir", str(tmp_path)])
     assert rc == 0
-    assert len(builds) == 7      # one per figure graph
+    assert level_spectrum.cache_info().misses == 7      # one per figure graph
     names = sorted(os.listdir(tmp_path))
     for stem in ("fig1_complete_1024", "fig2_hypercube_10", "fig3_lattice_5_4",
                  "fig3_lattice_4_6", "fig3_lattice_3_10", "fig3_lattice_2_32",
@@ -215,11 +204,17 @@ def test_config_error_exit_code(tmp_path, capsys):
 
 
 def test_gamma_validation_exit_code(tmp_path, capsys):
-    rc = main(["spectrum", "--graph", "complete:16", "--gamma", "-1.0",
-               "--output-dir", str(tmp_path)])
-    assert rc == 2
-    err = json.loads(capsys.readouterr().err)
-    assert err["error"]["type"] == "config"
+    # non-positive and non-finite couplings and times are configuration errors
+    for args in (["spectrum", "--gamma", "-1.0"], ["spectrum", "--gamma", "nan"],
+                 ["spectrum", "--gamma", "inf"],
+                 ["evolve", "--gamma", "0.1", "--time-max", "nan"],
+                 ["evolve", "--gamma", "0.1", "--time-max", "inf"],
+                 ["scan", "--gamma-range", "0.1:inf"], ["scan", "--gamma-range", "nan:1"]):
+        rc = main([*args, "--graph", "complete:16", "--output-dir", str(tmp_path)])
+        assert rc == 2, args
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "config", args
+    assert os.listdir(tmp_path) == []
 
 
 def test_computation_error_exit_code(tmp_path, capsys, monkeypatch):

@@ -93,6 +93,11 @@ def test_trace_validation():
         trace(spec, 0.0, 16)
     with pytest.raises(ValueError):
         trace(spec, 2.0, 1)
+    for t_max in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            trace(spec, t_max, 16)
+        with pytest.raises(ValueError):
+            find_optimal_time(spec, t_max)
 
 
 def test_optimal_time_complete():

@@ -195,6 +195,10 @@ def test_labels_round_trip():
 
 
 def test_spectrum_is_immutable():
-    ls = levels("lattice:2:4")
-    with pytest.raises(ValueError):
-        ls.energies[0] = 5.0
+    # every caller shares the memoized levels, so no caller may write to them
+    for label in ("complete:8", "hypercube:3", "lattice:2:4"):
+        ls = levels(label)
+        with pytest.raises(ValueError):
+            ls.energies[0] = 5.0
+        with pytest.raises(ValueError):
+            ls.multiplicities[-1] = 2

@@ -133,6 +133,11 @@ def test_gamma_validation():
         solve_spectrum(ls, 0.0)
     with pytest.raises(ValueError):
         ground_and_gap(ls, -0.3)
+    for gamma in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            solve_spectrum(ls, gamma)
+        with pytest.raises(ValueError):
+            ground_and_gap(ls, gamma)
 
 
 @pytest.mark.parametrize("label", ["complete:2", "hypercube:1", "lattice:2:2",
