@@ -323,6 +323,8 @@ def _bound_payload(report) -> dict:
 
 
 def _cmd_critical(cfg: RunConfig) -> list[str]:
+    if cfg.points < 2:      # before critical.json is written
+        raise ValueError(f"need at least 2 scan points, got {cfg.points}")
     graph = parse_graph_spec(cfg.graph)
     bounded = graph.kind == "lattice" and graph.dim >= 2
     # First: at d = 2 the reference fits other lattices' levels, which would

@@ -28,7 +28,7 @@ from .graphs import LevelSpectrum
 # Most float64 entries one row block of the secular kernel holds (512 KB),
 # unless a single row of K entries is larger.
 _BLOCK = 1 << 16
-# Newton steps a root may take before the kernel reports non-convergence.
+# Steps a root may take before the kernel reports non-convergence.
 _MAX_ITER = 64
 
 
@@ -97,16 +97,19 @@ def _solve_brackets(spectrum: LevelSpectrum, gamma, brackets) -> tuple[np.ndarra
     the same whichever brackets and couplings are solved with it.
     """
     levels = spectrum.energies
-    mult = spectrum.multiplicities.astype(float)
+    weights = spectrum.multiplicities / spectrum.num_vertices
     brackets = np.asarray(brackets, dtype=int)
     gammas = np.full(brackets.shape, gamma, dtype=float)
+    # Outside this range the kernel's squares and reciprocals leave float64.
+    if not 1e-100 <= gammas.min() <= gammas.max() <= 1e100:
+        raise ValueError(f"gamma must lie in [1e-100, 1e100], got {gamma}")
     roots = np.empty(len(brackets))
     fprimes = np.empty(len(brackets))
     rows = max(1, _BLOCK // len(levels))
     for i in range(0, len(brackets), rows):
         block = slice(i, i + rows)
         roots[block], fprimes[block] = _solve_block(
-            levels, mult, spectrum.num_vertices, gammas[block], brackets[block])
+            levels, weights, spectrum.num_vertices, gammas[block], brackets[block])
     return roots, fprimes
 
 
@@ -120,68 +123,95 @@ def _pole_distances(gamma, levels, origins):
     return dist
 
 
-def _solve_block(levels, mult, n, gamma, brackets):
+def _signed_root(a, b, m, sign):
+    """The root of a*x**2 + b*x = m (m > 0) whose sign is `sign`, free of cancellation.
+
+    With a > 0 the two roots have opposite signs; with a < 0 both have the
+    sign of b, and this is the one nearer zero.
+    """
+    b = sign * b
+    s = np.sqrt(b * b + 4.0 * a * m)
+    return sign * np.where(b >= 0.0, 2.0 * m / (b + s), (s - b) / (2.0 * a))
+
+
+def _solve_block(levels, weights, n, gamma, brackets):
     """One row block of _solve_brackets; gamma holds each row's coupling.
 
-    Each root is an offset tau from its nearer pole gamma*E_o, and the other
-    poles sit at delta_k = gamma*(E_k - E_o).  Subtracting before scaling
-    keeps every pole distance within two roundings, and the own-pole term of
-    F is exactly -m_o/(N tau).  Newton runs on H(tau) = tau*(R(tau) - 1) - m_o/N,
-    R being F without the own-pole term; H is nearly linear near the pole.
-    Steps that leave the sign bracket of tau are replaced by bisection.
+    weights are the multiplicities over N.  Each root is an offset tau from
+    its nearer pole gamma*E_o, and the other poles sit at
+    delta_k = gamma*(E_k - E_o).  Subtracting before scaling keeps every pole
+    distance within two roundings, and the own-pole term of F is exactly
+    -m_o/(N tau), so F(tau) = 1 is H(tau) = tau*(R(tau) - 1) - m_o/N = 0 with
+    R the rest of F.  Each step goes to the root, on tau's side of the pole,
+    of the model that keeps the own pole exact and R linear about tau:
+    R'*x**2 + (R - 1 - R'*tau)*x - m_o/N = 0 (Bunch, Nielsen & Sorensen 1978;
+    Li 1994).  An inner root starts from the model that keeps both bracketing
+    poles exact and freezes the rest of F at its value at the interval
+    midpoint; the ground root starts at -1/sqrt(N), the geometric mean of its
+    bracket (-1, -1/N).  Steps that leave the sign bracket of tau are replaced
+    by bisection.
     """
+    rows = np.arange(len(brackets))
     own = brackets.copy()
     inner = brackets > 0
     # The sign of F - 1 at each interval midpoint names the nearer pole.
     centre = 0.5 * (levels[own[inner] - 1] + levels[own[inner]])
-    f_mid = (mult / _pole_distances(gamma[inner], levels, centre)).sum(axis=1) / n
+    f_mid = (weights / _pole_distances(gamma[inner], levels, centre)).sum(axis=1)
     own[inner] -= f_mid >= 1.0
     delta = _pole_distances(gamma, levels, levels[own])
     # tau lies between the own pole and the interval midpoint; the ground
     # root lies in (-1, -1/N) because F(-1) < 1 < F(-1/N).
     other = np.where(own < brackets, brackets, np.maximum(brackets - 1, 0))
-    half = 0.5 * delta[np.arange(len(own)), other]
+    half = 0.5 * delta[rows, other]
+    delta[rows, own] = np.inf       # the own-pole term is kept exact, outside the sums
     lo = np.where(inner, np.minimum(half, 0.0), -1.0)
     hi = np.where(inner, np.maximum(half, 0.0), -1.0 / n)
     sign = np.where(hi > 0.0, 1.0, -1.0)     # the sign of tau, fixed per row
-    own_term = mult[own] / n
+    own_term = weights[own]
+    nxt = np.full(len(own), -n ** -0.5)
     out_tau = np.empty(len(own))
     out_fp = np.empty(len(own))
-    live, col = np.arange(len(own)), own
-    nxt = 0.5 * (lo + hi)
-    for _ in range(_MAX_ITER):
-        tau = nxt
-        diff = delta - tau[:, None]
-        terms = mult / diff
-        terms[np.arange(len(live)), col] = 0.0
-        r = terms.sum(axis=1) / n
-        spread = np.abs(terms).sum(axis=1) / n
-        rp = (terms / diff).sum(axis=1) / n
-        h = tau * (r - 1.0) - own_term
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = -h / (r - 1.0 + tau * rp)
-        # Stop, keeping tau, once |H| is within its rounding bound or the
-        # step is down to the last bits of tau.
-        done = ((np.abs(h) <= 8.0 * _EPS * (np.abs(tau) * (spread + 1.0) + own_term))
-                | (np.abs(step) <= 4.0 * _EPS * np.abs(tau)))
-        out_tau[live[done]] = tau[done]
-        out_fp[live[done]] = rp[done] + own_term[done] / tau[done] ** 2
-        above = sign * h >= 0.0
-        hi = np.where(above, tau, hi)
-        lo = np.where(above, lo, tau)
-        nxt = tau + step
+    live = rows
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # Two-pole model -m_o/(N x) + m_x/(N (D - x)) + C = 1, with C matching
+        # F at the midpoint x = D/2, as a*x**2 + b*x = m_o/N.
+        a_o, a_x, d = own_term[inner], weights[other[inner]], 2.0 * half[inner]
+        c1 = f_mid - 1.0 + 2.0 * (a_o - a_x) / d
+        nxt[inner] = _signed_root(-c1 / d, c1 + (a_o + a_x) / d, a_o, sign[inner])
         nxt = np.where((lo < nxt) & (nxt < hi), nxt, 0.5 * (lo + hi))
-        if done.all():
-            return gamma * levels[own] + out_tau, out_fp
-        if done.any():
-            keep = ~done
-            live, col, delta, own_term, sign, lo, hi, tau, h, nxt = (
-                a[keep] for a in (live, col, delta, own_term, sign, lo, hi, tau, h, nxt))
+        for _ in range(_MAX_ITER):
+            tau = nxt
+            inv = delta - tau[:, None]
+            np.reciprocal(inv, out=inv)     # in place: 1.0 / (...) would hold a second block
+            terms = weights * inv
+            r1 = terms.sum(axis=1) - 1.0
+            spread = np.abs(terms).sum(axis=1)
+            rp = (terms * inv).sum(axis=1)
+            del inv, terms      # freed before a compaction copies delta
+            h = tau * r1 - own_term
+            nxt = _signed_root(rp, r1 - rp * tau, own_term, sign)
+            # Stop, keeping tau, once |H| is within its rounding bound or the
+            # step is down to the last bits of tau.
+            size = np.abs(tau)
+            done = ((np.abs(h) <= 8.0 * _EPS * (size * (spread + 1.0) + own_term))
+                    | (np.abs(nxt - tau) <= 4.0 * _EPS * size))
+            if done.any():
+                out_tau[live[done]] = tau[done]
+                out_fp[live[done]] = rp[done] + own_term[done] / tau[done] ** 2
+                if done.all():
+                    return gamma * levels[own] + out_tau, out_fp
+                keep = ~done
+                live, delta, own_term, sign, lo, hi, tau, h, nxt = (
+                    a[keep] for a in (live, delta, own_term, sign, lo, hi, tau, h, nxt))
+            above = sign * h >= 0.0
+            hi = np.where(above, tau, hi)
+            lo = np.where(above, lo, tau)
+            nxt = np.where((lo < nxt) & (nxt < hi), nxt, 0.5 * (lo + hi))
     b, g = int(brackets[live[0]]), float(gamma[live[0]])
     poles = (-np.inf, 0.0) if b == 0 else (g * levels[b - 1], g * levels[b])
     raise BracketError(
         f"secular kernel did not converge in {_MAX_ITER} steps at gamma={g!r}: "
-        f"bracket {b} ({poles[0]!r}, {poles[1]!r}), last tau={float(tau[0])!r} "
+        f"bracket {b} ({float(poles[0])!r}, {float(poles[1])!r}), last tau={float(tau[0])!r} "
         f"with |H|={abs(float(h[0]))!r}"
     )
 
@@ -193,8 +223,6 @@ def solve_spectrum(spectrum: LevelSpectrum, gamma: float) -> SecularSpectrum:
     consecutive distinct scaled levels.  Roots with vanishing weight are
     retained; completeness and the sum rule need the full relevant set.
     """
-    if not 0.0 < gamma < np.inf:
-        raise ValueError(f"gamma must be positive and finite, got {gamma}")
     n = spectrum.num_vertices
     roots, fprimes = _solve_brackets(spectrum, gamma, np.arange(spectrum.num_levels))
     w = 1.0 / fprimes
@@ -218,7 +246,5 @@ def lowest_two(spectrum: LevelSpectrum, gamma: float):
     Returns (e0, e1, fprime0, fprime1) without solving the full spectrum;
     gamma scans only need the two lowest states.
     """
-    if not 0.0 < gamma < np.inf:
-        raise ValueError(f"gamma must be positive and finite, got {gamma}")
     (e0, e1), (fp0, fp1) = _solve_brackets(spectrum, gamma, [0, 1])
     return float(e0), float(e1), float(fp0), float(fp1)

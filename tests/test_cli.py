@@ -204,9 +204,10 @@ def test_config_error_exit_code(tmp_path, capsys):
 
 
 def test_gamma_validation_exit_code(tmp_path, capsys):
-    # non-positive and non-finite couplings and times are configuration errors
+    # non-positive, non-finite and out-of-range couplings and times are configuration errors
     for args in (["spectrum", "--gamma", "-1.0"], ["spectrum", "--gamma", "nan"],
-                 ["spectrum", "--gamma", "inf"],
+                 ["spectrum", "--gamma", "inf"], ["spectrum", "--gamma", "1e-300"],
+                 ["spectrum", "--gamma", "1e300"],
                  ["evolve", "--gamma", "0.1", "--time-max", "nan"],
                  ["evolve", "--gamma", "0.1", "--time-max", "inf"],
                  ["scan", "--gamma-range", "0.1:inf"], ["scan", "--gamma-range", "nan:1"]):
@@ -214,6 +215,14 @@ def test_gamma_validation_exit_code(tmp_path, capsys):
         assert rc == 2, args
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "config", args
+    assert os.listdir(tmp_path) == []
+
+
+def test_critical_points_checked_before_writing(tmp_path, capsys):
+    rc = main(["critical", "--graph", "lattice:3:6", "--points", "1",
+               "--output-dir", str(tmp_path)])
+    assert rc == 2
+    assert json.loads(capsys.readouterr().err)["error"]["type"] == "config"
     assert os.listdir(tmp_path) == []
 
 

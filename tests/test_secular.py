@@ -3,6 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from _shared import (
     IDENTITY_FAMILIES,
@@ -19,6 +20,7 @@ from qwsearch import (
     BracketError,
     GraphFamily,
     SecularPoleError,
+    amplitude,
     green_integral,
     level_spectrum,
     lowest_two,
@@ -133,11 +135,17 @@ def test_gamma_validation():
         solve_spectrum(ls, 0.0)
     with pytest.raises(ValueError):
         ground_and_gap(ls, -0.3)
-    for gamma in (math.nan, math.inf):
+    for gamma in (math.nan, math.inf, 1e-101, 1e101):
         with pytest.raises(ValueError):
             solve_spectrum(ls, gamma)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"\[1e-100, 1e100\]"):
             ground_and_gap(ls, gamma)
+    # every returned array is finite at both ends of the accepted range
+    for gamma in (1e-100, 1e100):
+        spec = solve_spectrum(ls, gamma)
+        for arr in (spec.energies, spec.fprimes, spec.w_weights, spec.s_weights):
+            assert np.all(np.isfinite(arr))
+        assert np.all(np.isfinite(lowest_two(ls, gamma)))
 
 
 @pytest.mark.parametrize("label", ["complete:2", "hypercube:1", "lattice:2:2",
@@ -170,8 +178,13 @@ def test_roots_and_weights_match_40_digits(label, gamma):
 def test_non_convergence_raises(monkeypatch):
     monkeypatch.setattr(qwsearch.secular, "_MAX_ITER", 1)
     gamma = scan_center("lattice:2:16")
-    with pytest.raises(BracketError, match=f"gamma={gamma!r}: bracket \\d+ .*tau=.*H"):
+    with pytest.raises(BracketError, match=f"gamma={gamma!r}: bracket \\d+ .*tau=.*H") as info:
         solve_spectrum(levels("lattice:2:16"), gamma)
+    with pytest.raises(BracketError) as inner:
+        qwsearch.secular._solve_brackets(levels("lattice:2:16"), gamma, [3])
+    # the poles print as plain numbers
+    for exc in (info.value, inner.value):
+        assert "np.float64" not in str(exc)
 
 
 @pytest.mark.parametrize("label", ["complete:2", "hypercube:1", "lattice:2:2",
@@ -193,7 +206,8 @@ def test_batched_non_convergence_names_row_coupling(monkeypatch):
     with pytest.raises(BracketError) as info:
         qwsearch.secular._solve_brackets(ls, [g0, g1], [3, 3])
     message = str(info.value)
-    assert f"gamma={g0!r}: bracket 3 ({g0 * ls.energies[2]!r}, {g0 * ls.energies[3]!r})" in message
+    poles = float(g0 * ls.energies[2]), float(g0 * ls.energies[3])
+    assert f"gamma={g0!r}: bracket 3 ({poles[0]!r}, {poles[1]!r})" in message
     assert repr(g1) not in message
 
 
@@ -224,3 +238,63 @@ def test_near_pole_roots_survive():
         spec = solve_spectrum(ls, gamma)
         assert spec.num_roots == ls.num_levels
         assert abs(spec.sum_rule() + 1.0) < 1e-9
+
+
+# The distinct families of the benchmark's three workloads; the first five
+# are its full-spectrum families.
+BENCHMARK_FAMILIES = (
+    "lattice:5:8", "lattice:2:32", "lattice:4:16", "lattice:2:64", "lattice:3:32",
+    "complete:1024", "hypercube:10", "lattice:5:4", "lattice:4:6", "lattice:3:10",
+    "lattice:5:16", "lattice:4:32", "lattice:3:64", "lattice:2:256", "lattice:3:128",
+    "lattice:2:1024",
+)
+
+
+@pytest.mark.parametrize("label", BENCHMARK_FAMILIES)
+def test_roots_converge_within_nine_steps(label, monkeypatch):
+    monkeypatch.setattr(qwsearch.secular, "_MAX_ITER", 9)
+    ls = levels(label)
+    for gamma in scan_center(label) * np.geomspace(0.25, 4.0, 9):
+        lowest_two(ls, float(gamma))
+        if label in BENCHMARK_FAMILIES[:5]:
+            solve_spectrum(ls, float(gamma))
+
+
+# Largest lattice side per dimension with N <= 4096.
+_MAX_SIDE = {1: 4096, 2: 64, 3: 16, 4: 8, 5: 5}
+_families = st.one_of(
+    st.integers(2, 2048).map(lambda n: f"complete:{n}"),
+    st.integers(1, 12).map(lambda bits: f"hypercube:{bits}"),
+    st.sampled_from(sorted(_MAX_SIDE)).flatmap(
+        lambda d: st.integers(2, _MAX_SIDE[d]).map(lambda side: f"lattice:{d}:{side}")),
+)
+# Couplings log-uniform from 1e-6 to 1e6 times the scan centre.
+_factors = st.floats(-6.0, 6.0).map(lambda e: 10.0 ** e)
+_examples = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+
+
+@_examples
+@given(label=_families, factor=_factors)
+def test_spectrum_properties(label, factor):
+    ls = levels(label)
+    gamma = factor * scan_center(label)
+    spec = solve_spectrum(ls, gamma)
+    poles = gamma * ls.energies
+    assert spec.energies[0] < 0.0
+    assert np.all(poles[:-1] < spec.energies[1:]) and np.all(spec.energies[1:] < poles[1:])
+    assert abs(spec.sum_rule() + 1.0) <= 1e-12
+    assert abs(math.fsum(spec.w_weights) - 1.0) <= 1e-12
+    assert abs(math.fsum(spec.s_weights) - 1.0) <= 1e-12
+    assert abs(abs(amplitude(spec, 0.0)) * math.sqrt(ls.num_vertices) - 1.0) <= 1e-12
+
+
+@_examples
+@given(label=_families, factor=_factors)
+def test_lowest_two_solve_secular_equation(label, factor):
+    # F - 1 at a returned root is about its rounding, eps*|E|, times the slope F'
+    ls = levels(label)
+    gamma = factor * scan_center(label)
+    e0, e1, fp0, fp1 = lowest_two(ls, gamma)
+    eps = np.finfo(float).eps
+    for e, fp in ((e0, fp0), (e1, fp1)):
+        assert abs(secular_value(ls, gamma, e) - 1.0) <= 64.0 * eps * (1.0 + abs(e) * fp)
