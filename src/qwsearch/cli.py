@@ -119,10 +119,10 @@ class RunConfig:
 # Serialization helpers
 # ---------------------------------------------------------------------------
 
-def _fnum(x) -> str:
-    if isinstance(x, (float, np.floating)):
-        return format(float(x), ".17g")
-    return str(int(x)) if isinstance(x, (int, np.integer)) else str(x)
+def _cell_format(kind: type) -> str:
+    if issubclass(kind, (float, np.floating)):
+        return "%.17g"
+    return "%d" if issubclass(kind, (int, np.integer)) else "%s"
 
 
 def _atomic_write(path: str, data: str):
@@ -140,9 +140,18 @@ def _atomic_write(path: str, data: str):
 
 
 def write_csv(path: str, header: list[str], rows: list[list]) -> str:
+    # Floats print with 17 significant digits and integers in full; rows of the
+    # same cell types share one format, applied to the whole row at once.
+    formats = {}
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(map(_fnum, row)))
+        cells = tuple(row)
+        # from a list: a tuple built from an iterator is resized, and CPython's tuple
+        # free list would keep one per row (up to 2000, about 150 KB)
+        kinds = tuple([type(cell) for cell in cells])
+        if kinds not in formats:
+            formats[kinds] = ",".join(map(_cell_format, kinds))
+        lines.append(formats[kinds] % cells)
     _atomic_write(path, "\n".join(lines) + "\n")
     return path
 

@@ -103,8 +103,11 @@ def green_integral(j: int, d: int) -> float:
     return _green_integral_err(j, d)[0]
 
 
+# One entry, as for level_spectrum: a bound suite asks again for the sum its
+# caller has just taken.
+@lru_cache(maxsize=1)
 def inverse_energy_sum(j: int, d: int, side: int) -> float:
-    """Exact finite sum (1/N) sum_{k != 0} E(k)^-j on the side^d torus."""
+    """Exact finite sum (1/N) sum_{k != 0} E(k)^-j on the side^d torus; the last is kept."""
     levels = level_spectrum(GraphFamily.lattice(d, side))
     terms = levels.multiplicities[1:] * levels.energies[1:] ** (-float(j))
     return compensated_sum(terms) / levels.num_vertices

@@ -109,24 +109,36 @@ def level_spectrum(graph: GraphFamily) -> LevelSpectrum:
         mult = [math.comb(bits, r) for r in range(bits + 1)]
         return _freeze(energies, mult, n)
     if graph.kind == "lattice":
-        # Fold in cos(2 pi m / L), m = 0..L/2, counted twice where -m != m, one axis
-        # at a time, summing the cosines before forming 2(d - sum) so lattice:2:4
-        # stays integer; after each fold, merge sums whose energies 2(k - sum) are
-        # within tolerance.
+        # A level depends on the multiset of axis indices m_1 <= ... <= m_d in
+        # 0..L/2, not on their order, so each multiset is listed once (C(L/2 + d, d)
+        # entries) with the count of its ordered tuples: the multinomial, grown by
+        # k / (run length of the new last index), times 2 per index with -m != m.
+        # Kept ordered by last index, the multisets that index b extends are a
+        # prefix.  Cosines are summed before forming 2(d - sum) so lattice:2:4 stays
+        # integer; one sort then merges sums whose energies are within tolerance.
         half = np.arange(graph.side // 2 + 1)
         axis_cos = np.cos(2.0 * np.pi * half / graph.side)
         axis_count = np.where((half == 0) | (2 * half == graph.side), 1, 2)
         tol = LEVEL_GROUP_TOL * 4.0 * graph.dim
         sums, mult = np.zeros(1), np.ones(1, dtype=np.int64)
+        last, run = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
         for k in range(1, graph.dim + 1):
-            sums = (sums[:, None] + axis_cos).ravel()
-            mult = (mult[:, None] * axis_count).ravel()
-            order = np.argsort(-sums, kind="stable")
-            sums, mult = sums[order], mult[order]
-            starts = np.flatnonzero(np.r_[True, np.diff(2.0 * (k - sums)) > tol])
-            merged = np.add.reduceat(mult, starts)
-            sums, mult = np.add.reduceat(sums * mult, starts) / merged, merged
-        return _freeze(2.0 * (graph.dim - sums), mult, n)
+            prefix = np.searchsorted(last, half, side="right")
+            parent = np.arange(prefix.sum()) - np.repeat(np.cumsum(prefix) - prefix, prefix)
+            index = np.repeat(half, prefix)
+            run = np.where(last[parent] == index, run[parent] + 1, 1)
+            mult = mult[parent] * k // run * axis_count[index]
+            sums = sums[parent] + axis_cos[index]
+            last = index
+        del last, run, index, parent  # freed before the sort and its copies
+        order = np.argsort(-sums)
+        sums, mult = sums[order], mult[order]
+        # sums[0] = d exactly is the uniform mode, the one level at 0, which stays
+        # apart even when 2(1 - cos(2 pi / L)) falls under the tolerance
+        starts = np.flatnonzero(np.r_[True, True, np.diff(2.0 * (graph.dim - sums))[1:] > tol])
+        merged = np.add.reduceat(mult, starts)
+        sums = np.add.reduceat(sums * mult, starts) / merged
+        return _freeze(2.0 * (graph.dim - sums), merged, n)
     raise ValueError(f"unknown graph kind {graph.kind!r}")
 
 

@@ -308,13 +308,16 @@ def test_large_lattice_sequence_builds_levels_once():
     # the large-lattice benchmark task shares one build across its layers
     graph = family("lattice:3:10")
     level_spectrum.cache_clear()
+    inverse_energy_sum.cache_clear()
     level_spectrum(graph)
     inverse_energy_sum(2, 3, 10)
     verify_transition_bounds(graph, 0.5 * critical_reference(graph))
     find_critical_gamma(graph)
     assert level_spectrum.cache_info().misses == 1
+    assert inverse_energy_sum.cache_info().misses == 1
     # the memo keeps one graph, so alternating graphs rebuild on every call
     level_spectrum.cache_clear()
+    inverse_energy_sum.cache_clear()
     for side in (10, 8, 10, 8):
         inverse_energy_sum(2, 3, side)
     info = level_spectrum.cache_info()

@@ -8,7 +8,7 @@ import pytest
 
 import qwsearch.secular
 from qwsearch import level_spectrum
-from qwsearch.cli import SCAN_HEADER, GraphSpecError, main, parse_graph_spec
+from qwsearch.cli import SCAN_HEADER, GraphSpecError, main, parse_graph_spec, write_csv
 
 SCAN_COLUMNS = ["gamma", "e0", "e1", "gap", "overlap_s_psi0",
                 "overlap_s_psi1", "overlap_w_psi0", "overlap_w_psi1"]
@@ -247,6 +247,22 @@ def test_computation_error_names_graph(tmp_path, capsys, monkeypatch):
     err = json.loads(capsys.readouterr().err)["error"]
     assert (err["type"], err["class"], err["graph"]) == (
         "computation", "BracketError", "lattice:2:16")
+
+
+def test_write_csv_cell_bytes(tmp_path):
+    # criterion 12 compares artifacts byte for byte, so every cell kind keeps its text
+    rows = [[3, 0.1, np.float64(1.0 / 3.0), np.int64(-7), float("nan")],
+            [4, -2.5, np.float64(-0.0), np.int64(2**62), float("inf")],
+            [10**20, float("-inf"), -0.0, np.float32(0.1), "lattice:2:4"],
+            [True, 5e-324, np.int32(2), 1e300, np.uint8(200)]]
+    path = write_csv(str(tmp_path / "cells.csv"), ["a", "b", "c", "d", "e"], rows)
+    with open(path) as fh:
+        assert fh.read() == (
+            "a,b,c,d,e\n"
+            "3,0.10000000000000001,0.33333333333333331,-7,nan\n"
+            "4,-2.5,-0,4611686018427387904,inf\n"
+            "100000000000000000000,-inf,-0,0.10000000149011612,lattice:2:4\n"
+            "1,4.9406564584124654e-324,2,1.0000000000000001e+300,200\n")
 
 
 def test_json_mirror(tmp_path):

@@ -4,8 +4,9 @@ import mpmath
 import numpy as np
 import pytest
 
-from _shared import dispersion_values, green_integral_bruteforce, round_sig
+from _shared import _counting, dispersion_values, green_integral_bruteforce, round_sig
 
+import qwsearch.constants
 from qwsearch import (
     DivergenceError,
     NoRootError,
@@ -156,6 +157,17 @@ def test_epstein_divergence():
 def test_inverse_energy_sum_tiny_ring():
     # d=1, side 2: the only nonzero mode sits at energy 4
     assert inverse_energy_sum(1, 1, 2) == pytest.approx(0.125, abs=1e-15)
+
+
+def test_inverse_energy_sum_repeat_does_no_new_sum(monkeypatch):
+    sums = []
+    _counting(monkeypatch, (qwsearch.constants,), "compensated_sum", sums)
+    inverse_energy_sum.cache_clear()
+    first = inverse_energy_sum(2, 3, 10)
+    assert inverse_energy_sum(2, 3, 10) == first
+    assert len(sums) == 1
+    inverse_energy_sum(2, 3, 8)
+    assert len(sums) == 2
 
 
 @pytest.mark.parametrize("j,d,side", [

@@ -3,6 +3,7 @@ import itertools
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from _shared import (
     dense_neg_laplacian_reference,
@@ -122,7 +123,9 @@ def test_levels_are_dispersion_image(dim, side):
 def _sorted_split_levels(dim, side):
     """Brute force: sort all N dispersion values, split at the level tolerance."""
     values = np.sort(dispersion_values(dim, side))
-    starts = np.flatnonzero(np.r_[True, np.diff(values) > LEVEL_GROUP_TOL * 4.0 * dim])
+    split = np.diff(values) > LEVEL_GROUP_TOL * 4.0 * dim
+    split[0] = True   # the uniform mode, the one value at exactly 0, is its own level
+    starts = np.flatnonzero(np.r_[True, split])
     counts = np.diff(np.r_[starts, len(values)])
     return np.add.reduceat(values, starts) / counts, counts
 
@@ -131,7 +134,7 @@ def _sorted_split_levels(dim, side):
     (1, 2), (2, 2), (3, 2), (4, 2), (7, 2), (10, 2),
     (6, 3), (7, 3), (8, 3), (9, 3), (10, 3), (6, 4), (8, 4),
     (5, 8), (4, 16), (2, 64), (3, 32), (5, 16), (4, 32), (3, 64), (2, 256),
-    (2, 1024), (3, 128),
+    (2, 1024), (3, 128), (1, 99346), (1, 150000),
 ])
 def test_level_spectrum_matches_sorted_dispersion(dim, side):
     energies, counts = _sorted_split_levels(dim, side)
@@ -140,20 +143,39 @@ def test_level_spectrum_matches_sorted_dispersion(dim, side):
     assert np.max(np.abs(ls.energies - energies)) <= 1e-12
 
 
-def _distinct_level_count(dim, side, dps=30):
+def _distinct_levels(dim, side, dps=30):
     """Distinct sums of dim per-axis energies, told apart at 30 digits."""
     with mpmath.workdps(dps):
         axis = [2 * (1 - mpmath.cos(2 * mpmath.pi * m / side)) for m in range(side // 2 + 1)]
         sums = sorted(mpmath.fsum(c) for c in itertools.combinations_with_replacement(axis, dim))
         # exact identities such as cos(pi/2) + cos(pi/2) = cos(0) + cos(pi) agree to ~1e-30
         tie = mpmath.mpf(10) ** (10 - dps)
-        return 1 + sum(1 for a, b in zip(sums, sums[1:]) if b - a > tie)
+        return sums[:1] + [b for a, b in zip(sums, sums[1:]) if b - a > tie]
 
 
-@pytest.mark.parametrize("dim,side", [(2, 512), (3, 64)])
+@pytest.mark.parametrize("dim,side", [(2, 512), (3, 64), (4, 32), (5, 16), (6, 8)])
 def test_level_count_matches_extended_precision(dim, side):
-    assert level_spectrum(GraphFamily.lattice(dim, side)).num_levels == \
-        _distinct_level_count(dim, side)
+    exact = _distinct_levels(dim, side)
+    ls = level_spectrum(GraphFamily.lattice(dim, side))
+    assert ls.num_levels == len(exact)
+    with mpmath.workdps(30):
+        worst = max(abs(mpmath.mpf(e) - x) for e, x in zip(ls.energies.tolist(), exact))
+    assert worst <= 4 * np.finfo(float).eps * 4 * dim
+
+
+@st.composite
+def _lattices(draw, max_vertices=200_000):
+    dim = draw(st.integers(1, 6))
+    return dim, draw(st.integers(2, int(max_vertices ** (1.0 / dim))))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_lattices())
+def test_level_spectrum_matches_sorted_dispersion_property(lattice):
+    energies, counts = _sorted_split_levels(*lattice)
+    ls = level_spectrum(GraphFamily.lattice(*lattice))
+    assert ls.multiplicities.tolist() == counts.tolist()
+    assert np.max(np.abs(ls.energies - energies)) <= 1e-12
 
 
 @pytest.mark.parametrize("label", [
