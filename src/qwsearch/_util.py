@@ -11,8 +11,9 @@ _EPS = float(np.finfo(float).eps)
 
 
 def compensated_sum(terms: np.ndarray) -> float:
-    """Exact (error-free) sum of an array of float64 terms."""
-    return math.fsum(terms.tolist())
+    """Exact (error-free) sum of an array's terms as float64, read from its buffer
+    (a list of Python floats would hold about 32 bytes per term)."""
+    return math.fsum(memoryview(np.ravel(terms).astype(float, copy=False)))
 
 
 def brent_root(fn, a: float, b: float, fa: float, fb: float) -> float:

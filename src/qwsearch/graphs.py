@@ -127,17 +127,23 @@ def level_spectrum(graph: GraphFamily) -> LevelSpectrum:
             parent = np.arange(prefix.sum()) - np.repeat(np.cumsum(prefix) - prefix, prefix)
             index = np.repeat(half, prefix)
             run = np.where(last[parent] == index, run[parent] + 1, 1)
-            mult = mult[parent] * k // run * axis_count[index]
-            sums = sums[parent] + axis_cos[index]
+            mult, sums = mult[parent] * k // run, sums[parent]
+            del parent  # freed before the last two gathers
+            mult *= axis_count[index]
+            sums += axis_cos[index]
             last = index
-        del last, run, index, parent  # freed before the sort and its copies
+        del last, run, index  # freed before the sort and its copies
         order = np.argsort(-sums)
-        sums, mult = sums[order], mult[order]
+        sums = sums[order]
+        mult = mult[order]
+        del order
         # sums[0] = d exactly is the uniform mode, the one level at 0, which stays
         # apart even when 2(1 - cos(2 pi / L)) falls under the tolerance
         starts = np.flatnonzero(np.r_[True, True, np.diff(2.0 * (graph.dim - sums))[1:] > tol])
         merged = np.add.reduceat(mult, starts)
-        sums = np.add.reduceat(sums * mult, starts) / merged
+        sums *= mult
+        del mult
+        sums = np.add.reduceat(sums, starts) / merged
         return _freeze(2.0 * (graph.dim - sums), merged, n)
     raise ValueError(f"unknown graph kind {graph.kind!r}")
 

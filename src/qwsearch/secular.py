@@ -62,7 +62,7 @@ class SecularSpectrum:
 
 
 def _exact_sum(spectrum: LevelSpectrum, gamma: float, energy: float, power: int) -> float:
-    """(1/N) sum_k m_k / (gamma*E_k - E)^power, summed exactly, farthest pole first."""
+    """(1/N) sum_k m_k / (gamma*E_k - E)^power, summed exactly."""
     poles = gamma * spectrum.energies
     diffs = poles - energy
     i = int(np.argmin(np.abs(diffs)))
@@ -70,8 +70,7 @@ def _exact_sum(spectrum: LevelSpectrum, gamma: float, energy: float, power: int)
         raise SecularPoleError(
             f"E={energy!r} is within machine scale of the pole at {poles[i]!r}"
         )
-    order = np.argsort(-np.abs(diffs))
-    return compensated_sum(spectrum.multiplicities[order] / diffs[order] ** power) / spectrum.num_vertices
+    return compensated_sum(spectrum.multiplicities / diffs ** power) / spectrum.num_vertices
 
 
 def secular_value(spectrum: LevelSpectrum, gamma: float, energy: float) -> float:
@@ -171,6 +170,9 @@ def _solve_block(levels, weights, n, gamma, brackets):
     nxt = np.full(len(own), -n ** -0.5)
     out_tau = np.empty(len(own))
     out_fp = np.empty(len(own))
+    # Two workspaces take each step's arrays in place.  They shrink with delta
+    # when rows finish, not every step: at small K each numpy call counts.
+    inv, terms = np.empty_like(delta), np.empty_like(delta)
     live = rows
     with np.errstate(divide="ignore", invalid="ignore"):
         # Two-pole model -m_o/(N x) + m_x/(N (D - x)) + C = 1, with C matching
@@ -181,13 +183,12 @@ def _solve_block(levels, weights, n, gamma, brackets):
         nxt = np.where((lo < nxt) & (nxt < hi), nxt, 0.5 * (lo + hi))
         for _ in range(_MAX_ITER):
             tau = nxt
-            inv = delta - tau[:, None]
-            np.reciprocal(inv, out=inv)     # in place: 1.0 / (...) would hold a second block
-            terms = weights * inv
+            np.subtract(delta, tau[:, None], out=inv)
+            np.reciprocal(inv, out=inv)
+            np.multiply(weights, inv, out=terms)
             r1 = terms.sum(axis=1) - 1.0
-            spread = np.abs(terms).sum(axis=1)
-            rp = (terms * inv).sum(axis=1)
-            del inv, terms      # freed before a compaction copies delta
+            rp = np.multiply(terms, inv, out=inv).sum(axis=1)
+            spread = np.abs(terms, out=terms).sum(axis=1)
             h = tau * r1 - own_term
             nxt = _signed_root(rp, r1 - rp * tau, own_term, sign)
             # Stop, keeping tau, once |H| is within its rounding bound or the
@@ -203,6 +204,7 @@ def _solve_block(levels, weights, n, gamma, brackets):
                 keep = ~done
                 live, delta, own_term, sign, lo, hi, tau, h, nxt = (
                     a[keep] for a in (live, delta, own_term, sign, lo, hi, tau, h, nxt))
+                inv, terms = inv[:len(live)], terms[:len(live)]
             above = sign * h >= 0.0
             hi = np.where(above, tau, hi)
             lo = np.where(above, lo, tau)

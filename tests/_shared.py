@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -52,6 +53,21 @@ def _counting(monkeypatch, modules, name, calls, keep=lambda *args: True):
 
     for module in modules:
         monkeypatch.setattr(module, name, wrapper)
+
+
+def _peak_bytes(fn, *args) -> int:
+    """Most bytes fn(*args) held allocated at once, as tracemalloc counts them
+    (numpy reports its array buffers to it)."""
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
 
 
 @functools.lru_cache(maxsize=None)

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import mpmath
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from _shared import (
+    _peak_bytes,
     dense_neg_laplacian_reference,
     dispersion,
     dispersion_values,
@@ -141,6 +143,16 @@ def test_level_spectrum_matches_sorted_dispersion(dim, side):
     ls = level_spectrum(GraphFamily.lattice(dim, side))
     assert ls.multiplicities.tolist() == counts.tolist()
     assert np.max(np.abs(ls.energies - energies)) <= 1e-12
+
+
+def test_lattice_level_build_peak():
+    # about five arrays of C(L/2 + d, d) entries are alive at once; keeping the
+    # parent index through the last gathers, the sort order through the merge,
+    # or the unweighted sums beside the weighted ones makes it six
+    graph = GraphFamily.lattice(2, 1024)
+    entries = math.comb(1024 // 2 + 2, 2)
+    level_spectrum.cache_clear()
+    assert _peak_bytes(level_spectrum, graph) < 5.5 * 8 * entries
 
 
 def _distinct_levels(dim, side, dps=30):

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from _shared import (
     IDENTITY_FAMILIES,
     IDENTITY_GAMMA_FACTORS,
+    _peak_bytes,
     ground_and_gap,
     levels,
     mp_secular_solution,
@@ -197,6 +198,16 @@ def test_batched_couplings_match_lowest_two(label):
     roots, fprimes = qwsearch.secular._solve_brackets(ls, gammas + gammas, [0] * 5 + [1] * 5)
     for j, gamma in enumerate(gammas):
         assert lowest_two(ls, gamma) == (roots[j], roots[j + 5], fprimes[j], fprimes[j + 5])
+
+
+def test_lowest_two_allocates_no_per_step_blocks():
+    # K > 2^16, so each row is its own block and holds four rows of K floats:
+    # the weights m_k/N, delta and the two step workspaces.  A temporary
+    # taken on every step would add a fifth.
+    ls = levels("lattice:2:1024")
+    assert ls.num_levels > qwsearch.secular._BLOCK
+    row = 8 * ls.num_levels
+    assert _peak_bytes(lowest_two, ls, scan_center("lattice:2:1024")) < 4.5 * row
 
 
 def test_batched_non_convergence_names_row_coupling(monkeypatch):
