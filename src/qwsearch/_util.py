@@ -6,7 +6,6 @@ import math
 
 import numpy as np
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _EPS = float(np.finfo(float).eps)
 
 
@@ -58,30 +57,3 @@ def brent_root(fn, a: float, b: float, fa: float, fb: float) -> float:
         b += d if abs(d) > tol else math.copysign(tol, m)
         fb = fn(b)
 
-
-def golden_section_min(fn, lo: float, hi: float, rel_width: float = 1e-6):
-    """Minimize a unimodal scalar function on [lo, hi].
-
-    Shrinks the bracket until its width is below rel_width relative to the
-    larger endpoint magnitude. Returns (x, fn(x)) at the bracket midpoint.
-    """
-    a, b = float(lo), float(hi)
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = fn(c), fn(d)
-    while (b - a) > rel_width * max(abs(a), abs(b), 1e-30):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = fn(d)
-    x = 0.5 * (a + b)
-    return x, fn(x)
-
-
-def golden_section_max(fn, lo: float, hi: float, rel_width: float = 1e-6):
-    x, fneg = golden_section_min(lambda t: -fn(t), lo, hi, rel_width)
-    return x, -fneg

@@ -257,22 +257,18 @@ def _check(bound_id: str, lhs: float, rhs: float, slack: float,
 
 
 def _d4_energy_floor(gamma: float, i1: float) -> float:
-    """Solve (pi^2 e / (256 g^2)) ln(1 + 16 g / e) = i1/g - 1 for the ground-energy floor."""
-    target = i1 / gamma - 1.0
-    lo, hi = 1e-14, 16.0 * gamma
+    """Solve (pi^2 e / (256 g^2)) ln(1 + 16 g / e) = i1/g - 1 for the ground-energy floor.
 
-    def f(e: float) -> float:
-        return math.pi**2 * e / (256.0 * gamma**2) * math.log1p(16.0 * gamma / e) - target
+    In u = e/g it reads pi^2 u ln(1 + 16/u) = 256 (i1 - g).  The left side
+    rises from 0 at u = 0 to 16 pi^2 ln 2 = 109 at u = 16, above 256 i1 = 40
+    at d = 4, so [0, 16] brackets the root whatever g is.
+    """
+    target = 256.0 * (i1 - gamma)
 
-    while f(hi) < 0.0:
-        hi *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if f(mid) >= 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    def f(u: float) -> float:
+        return math.pi**2 * u * math.log1p(16.0 / u) - target
+
+    return gamma * brent_root(f, 0.0, 16.0, -target, f(16.0))
 
 
 def verify_failure_bounds(graph: GraphFamily, gamma: float) -> BoundReport:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import golden_section_max
+from ._util import brent_root
 from .graphs import GraphFamily, neg_laplacian
 from .secular import SecularSpectrum
 
@@ -89,9 +89,12 @@ def trace(spec: SecularSpectrum, t_max: float, num_points: int) -> EvolutionTrac
 
 
 def find_optimal_time(spec: SecularSpectrum, t_max: float, grid_points: int = OPTIMAL_TIME_GRID):
-    """Best measurement time on [0, t_max]: grid scan plus golden-section polish.
+    """Best measurement time on [0, t_max]: grid scan, then a root of d|amp|^2/dt.
 
-    Returns (t_star, p_star) with p_star at least the best grid probability.
+    Brent's method solves the slope in the grid cell beside the best grid
+    point when the slope turns from positive to negative across it;
+    otherwise (a peak at t_max, say) the grid point stands.  Returns
+    (t_star, p_star) with p_star at least the best grid probability.
     """
     if not 0.0 < t_max < math.inf:
         raise ValueError(f"t_max must be positive and finite, got {t_max}")
@@ -103,13 +106,25 @@ def _grid_optimum(spec: SecularSpectrum, t_max: float, amps: np.ndarray):
     times = np.linspace(0.0, float(t_max), len(amps))
     probs = np.abs(amps) ** 2
     i = int(np.argmax(probs))
-    lo = times[max(0, i - 1)]
-    hi = times[min(len(times) - 1, i + 1)]
-    t_star, p_star = golden_section_max(lambda t: abs(amplitude(spec, t)) ** 2, lo, hi,
-                                        rel_width=1e-6)
-    if probs[i] > p_star:
-        t_star, p_star = float(times[i]), float(probs[i])
-    return float(t_star), float(p_star)
+    t_star, p_star = float(times[i]), float(probs[i])
+    coeffs = spectral_coefficients(spec)
+
+    def slope(t: float) -> float:
+        # Re(conj(a) a') = d|a|^2/dt / 2 with a' = -i sum_a E_a c_a exp(-i E_a t)
+        terms = np.exp(-1j * spec.energies * t) * coeffs
+        return float((np.conj(terms.sum()) * (spec.energies @ terms)).imag)
+
+    s = slope(t_star)
+    j = i if s > 0.0 else i - 1
+    if 0 <= j < len(times) - 1:
+        lo, hi = float(times[j]), float(times[j + 1])
+        s_lo, s_hi = (s, slope(hi)) if j == i else (slope(lo), s)
+        if s_lo > 0.0 > s_hi:
+            t = brent_root(slope, lo, hi, s_lo, s_hi)
+            p = abs(amplitude(spec, t)) ** 2
+            if p > p_star:
+                t_star, p_star = t, p
+    return t_star, p_star
 
 
 class DenseReference:

@@ -1,7 +1,9 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
 from _shared import _counting, critical, family, levels, scan_center, solved
 
@@ -23,7 +25,6 @@ from qwsearch import (
     verify_failure_bounds,
     verify_transition_bounds,
 )
-from qwsearch._util import golden_section_min
 
 # The coupling-sweep benchmark families.
 SWEEP_FAMILIES = ("complete:1024", "hypercube:10", "lattice:5:4", "lattice:4:6",
@@ -166,7 +167,7 @@ def test_hellmann_feynman_slopes(label):
 
 @pytest.mark.parametrize("label", SWEEP_FAMILIES)
 def test_critical_gamma_is_gap_minimum(label):
-    # the derivative root against a golden-section minimum of width 1e-11
+    # the derivative root against scipy's bounded minimizer of the gap itself
     ls = levels(label)
     gc = critical(label)
 
@@ -174,8 +175,9 @@ def test_critical_gamma_is_gap_minimum(label):
         e0, e1, _, _ = lowest_two(ls, g)
         return e1 - e0
 
-    g_min, _ = golden_section_min(gap, 0.99 * gc, 1.01 * gc, rel_width=1e-11)
-    assert gc == pytest.approx(g_min, rel=1e-7)
+    res = minimize_scalar(gap, bounds=(0.99 * gc, 1.01 * gc), method="bounded",
+                          options={"xatol": 1e-11 * gc})
+    assert gc == pytest.approx(res.x, rel=1e-7)
 
 
 @pytest.mark.parametrize("label", SWEEP_FAMILIES)
@@ -272,6 +274,24 @@ def test_failure_bounds_below_d3():
     below = next(c for c in report.checks if c.bound_id == "amp-below-closed")
     expected = 1.5 * 2.0 * math.pi**4 / (1024.0 * gamma * (i1 - gamma) ** 2) / math.sqrt(1000.0)
     assert below.rhs == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("gamma", [0.05, 1e-8, 1e-20])
+def test_failure_bounds_below_d4(gamma):
+    # the floor e solves (pi^2 e / (256 g^2)) ln(1 + 16 g / e) = I1/g - 1; for
+    # small g it tends to about 1.72 g, so its bracket has to scale with g
+    i1 = green_integral(1, 4)
+    with mpmath.workdps(40):
+        g, target = mpmath.mpf(gamma), mpmath.mpf(i1) / gamma - 1
+
+        def f(e):
+            return mpmath.pi**2 * e / (256 * g**2) * mpmath.log(1 + 16 * g / e) - target
+
+        floor = float(mpmath.findroot(f, (g, 2 * g)))
+    report = verify_failure_bounds(family("lattice:4:6"), gamma)
+    assert report.all_pass()
+    below = next(c for c in report.checks if c.bound_id == "amp-below-closed")
+    assert below.rhs == pytest.approx(1.5 * 2.0 / (36.0 * floor), rel=1e-13)
 
 
 def test_predictions_reject_low_dim():

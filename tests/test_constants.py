@@ -275,6 +275,14 @@ def test_root_at_zero_vs_plain_bisection():
         assert abs(scaling_function(x0, dim)) < 1e-10
 
 
+def test_x0_estimate_covers_radius_truncation(monkeypatch):
+    # x0 at lattice radius 800 lies within the tabulated estimate of the radius-200 value
+    rows = {e.d: e for e in build_constant_table() if e.kind == "x0"}
+    monkeypatch.setattr(qwsearch.constants, "SCALING_RADIUS", 800)
+    for dim, row in rows.items():
+        assert abs(scaling_function_root(0.0, dim) - row.value) <= row.error_estimate
+
+
 def test_root_out_of_range():
     # the two-dimensional function is bounded below by about -1.1 on the
     # searchable bracket, so far smaller targets have no root

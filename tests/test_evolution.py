@@ -1,6 +1,7 @@
 import math
 import zlib
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -27,7 +28,7 @@ from qwsearch import (
     green_integral,
     trace,
 )
-from qwsearch.evolution import OPTIMAL_TIME_GRID, _grid_optimum
+from qwsearch.evolution import OPTIMAL_TIME_GRID, _grid_optimum, spectral_coefficients
 
 
 def test_amplitude_at_zero_is_root_n():
@@ -132,6 +133,32 @@ def test_optimal_time_matches_plain_grid(label):
         t_ref, p_ref = _grid_optimum(spec, horizon, ref)
         t_star, p_star = find_optimal_time(spec, horizon)
         assert t_star == pytest.approx(t_ref, rel=1e-12)
+        assert p_star == pytest.approx(p_ref, rel=1e-12)
+
+
+@pytest.mark.parametrize("label", ("complete:1024", "hypercube:10", "lattice:5:4",
+                                   "lattice:3:10", "lattice:2:32"))
+def test_optimal_time_is_stationary_point(label):
+    # t* against the 40-digit zero of d|amp|^2/dt = 2 Im(conj(a) sum_a E_a c_a e^(-i E_a t)),
+    # with the float64 roots and coefficients taken as exact
+    horizon = default_time_horizon(family(label).num_vertices)
+    for factor in (0.25, 1.0, 4.0):
+        spec = solved(label, factor * scan_center(label))
+        t_star, p_star = find_optimal_time(spec, horizon)
+        with mpmath.workdps(40):
+            terms = [(mpmath.mpf(float(e)), mpmath.mpf(float(c)))
+                     for e, c in zip(spec.energies, spectral_coefficients(spec))]
+
+            def amp(t):
+                return mpmath.fsum(c * mpmath.expj(-e * t) for e, c in terms)
+
+            def slope(t):
+                deriv = mpmath.fsum(e * c * mpmath.expj(-e * t) for e, c in terms)
+                return mpmath.im(mpmath.conj(amp(t)) * deriv)
+
+            t_ref = mpmath.findroot(slope, (t_star * (1 - 1e-6), t_star * (1 + 1e-6)))
+            p_ref = float(abs(amp(t_ref)) ** 2)
+        assert t_star == pytest.approx(float(t_ref), rel=1e-12)
         assert p_star == pytest.approx(p_ref, rel=1e-12)
 
 

@@ -22,6 +22,8 @@ from qwsearch import (
     GraphFamily,
     SecularPoleError,
     amplitude,
+    amplitudes,
+    default_time_horizon,
     green_integral,
     level_spectrum,
     lowest_two,
@@ -297,6 +299,9 @@ def test_spectrum_properties(label, factor):
     assert abs(math.fsum(spec.w_weights) - 1.0) <= 1e-12
     assert abs(math.fsum(spec.s_weights) - 1.0) <= 1e-12
     assert abs(abs(amplitude(spec, 0.0)) * math.sqrt(ls.num_vertices) - 1.0) <= 1e-12
+    # unitarity: |amp| <= 1 at every time
+    horizon = default_time_horizon(ls.num_vertices)
+    assert np.max(np.abs(amplitudes(spec, horizon, 257))) <= 1.0 + 1e-12
 
 
 @_examples
