@@ -117,9 +117,7 @@ class SubcriticalReport:
 
 def coupling_scan_center(spectrum: LevelSpectrum) -> float:
     """Finite-size estimate (1/N) sum_{k != 0} 1/E_k of the critical coupling."""
-    e = spectrum.energies[1:]
-    m = spectrum.multiplicities[1:].astype(float)
-    return float(np.sum(m / e)) / spectrum.num_vertices
+    return spectrum.s1
 
 
 def critical_reference(graph: GraphFamily) -> float:

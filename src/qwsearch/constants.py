@@ -237,11 +237,13 @@ def scaling_function_root(a: float, dim: int) -> float:
         return scaling_function(x, dim) - a
 
     lo, hi = -1.0, -1e-12
+    if (f_hi := f(hi)) < 0.0:
+        raise NoRootError(f"no negative root for a={a}: the function is {a + f_hi} at x={hi}")
     while (f_lo := f(lo)) > 0.0:
         lo *= 2.0
         if -lo > X_BRACKET_CAP:
             raise NoRootError(f"no negative root for a={a}: range exhausted at x={lo}")
-    return brent_root(f, lo, hi, f_lo, f(hi))
+    return brent_root(f, lo, hi, f_lo, f_hi)
 
 
 # ---------------------------------------------------------------------------

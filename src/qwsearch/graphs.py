@@ -66,11 +66,20 @@ class GraphFamily:
 @dataclass(frozen=True)
 class LevelSpectrum:
     """Distinct eigenvalues of -L with multiplicities; every eigenvector overlaps the
-    marked vertex with squared magnitude 1/num_vertices."""
+    marked vertex with squared magnitude 1/num_vertices.
+
+    The secular kernel's coupling-free inputs come with the levels: the weights
+    w_k = m_k/N and, over k >= 1, the moments s1 = sum w_k/E_k (the scan
+    center), s2 = sum w_k/E_k^2 and m1 = sum w_k E_k.
+    """
 
     energies: np.ndarray
     multiplicities: np.ndarray
     num_vertices: int
+    weights: np.ndarray
+    s1: float
+    s2: float
+    m1: float
 
     @property
     def num_levels(self) -> int:
@@ -86,10 +95,16 @@ def _freeze(energies: np.ndarray, multiplicities: np.ndarray, num_vertices: int)
         raise AssertionError("levels must be strictly increasing")
     if int(multiplicities.sum()) != num_vertices:
         raise AssertionError("multiplicities must sum to N")
-    energies.setflags(write=False)
-    multiplicities.setflags(write=False)
+    weights = multiplicities / num_vertices
+    terms = multiplicities[1:] / energies[1:]
+    s1 = float(np.sum(terms)) / num_vertices
+    terms /= energies[1:]
+    for arr in (energies, multiplicities, weights):
+        arr.setflags(write=False)
     return LevelSpectrum(energies=energies, multiplicities=multiplicities,
-                         num_vertices=int(num_vertices))
+                         num_vertices=int(num_vertices), weights=weights, s1=s1,
+                         s2=float(np.sum(terms)) / num_vertices,
+                         m1=float(weights[1:] @ energies[1:]))
 
 
 # One entry: a computation asks for one graph's levels from several layers, and
@@ -144,7 +159,10 @@ def level_spectrum(graph: GraphFamily) -> LevelSpectrum:
         sums *= mult
         del mult
         sums = np.add.reduceat(sums, starts) / merged
-        return _freeze(2.0 * (graph.dim - sums), merged, n)
+        del starts  # freed, and the energies formed in place, before the level moments
+        np.subtract(graph.dim, sums, out=sums)
+        sums *= 2.0
+        return _freeze(sums, merged, n)
     raise ValueError(f"unknown graph kind {graph.kind!r}")
 
 

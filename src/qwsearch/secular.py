@@ -95,8 +95,6 @@ def _solve_brackets(spectrum: LevelSpectrum, gamma, brackets) -> tuple[np.ndarra
     and no row's arithmetic depends on the other rows, so a root comes out
     the same whichever brackets and couplings are solved with it.
     """
-    levels = spectrum.energies
-    weights = spectrum.multiplicities / spectrum.num_vertices
     brackets = np.asarray(brackets, dtype=int)
     gammas = np.full(brackets.shape, gamma, dtype=float)
     # Outside this range the kernel's squares and reciprocals leave float64.
@@ -104,22 +102,22 @@ def _solve_brackets(spectrum: LevelSpectrum, gamma, brackets) -> tuple[np.ndarra
         raise ValueError(f"gamma must lie in [1e-100, 1e100], got {gamma}")
     roots = np.empty(len(brackets))
     fprimes = np.empty(len(brackets))
-    rows = max(1, _BLOCK // len(levels))
+    rows = max(1, _BLOCK // spectrum.num_levels)
+    # Every block works in one allocation of three row blocks (delta and two
+    # workspaces): block arrays freed one by one let malloc hand the top of
+    # its heap back to the system, and the next block page-faults it in again.
+    work = np.empty((3, min(rows, len(brackets)), spectrum.num_levels))
     for i in range(0, len(brackets), rows):
         block = slice(i, i + rows)
-        roots[block], fprimes[block] = _solve_block(
-            levels, weights, spectrum.num_vertices, gammas[block], brackets[block])
+        roots[block], fprimes[block] = _solve_block(spectrum, gammas[block], brackets[block], work)
     return roots, fprimes
 
 
-def _pole_distances(gamma, levels, origins):
-    """gamma*(levels - origin) for each row's coupling and origin.
-
-    Scaled in place: a broadcast product would hold a second row block.
-    """
-    dist = levels - origins[:, None]
-    dist *= gamma[:, None]
-    return dist
+def _pole_distances(gamma, levels, origins, out):
+    """gamma*(levels - origin) for each row's coupling and origin, into out."""
+    np.subtract(levels, origins[:, None], out=out)
+    out *= gamma[:, None]
+    return out
 
 
 def _signed_root(a, b, m, sign):
@@ -133,8 +131,9 @@ def _signed_root(a, b, m, sign):
     return sign * np.where(b >= 0.0, 2.0 * m / (b + s), (s - b) / (2.0 * a))
 
 
-def _solve_block(levels, weights, n, gamma, brackets):
-    """One row block of _solve_brackets; gamma holds each row's coupling.
+def _solve_block(spectrum, gamma, brackets, work):
+    """One row block of _solve_brackets; gamma holds each row's coupling, and
+    work holds three arrays of at least the block's rows.
 
     weights are the multiplicities over N.  Each root is an offset tau from
     its nearer pole gamma*E_o, and the other poles sit at
@@ -146,33 +145,37 @@ def _solve_block(levels, weights, n, gamma, brackets):
     R'*x**2 + (R - 1 - R'*tau)*x - m_o/N = 0 (Bunch, Nielsen & Sorensen 1978;
     Li 1994).  An inner root starts from the model that keeps both bracketing
     poles exact and freezes the rest of F at its value at the interval
-    midpoint; the ground root starts at -1/sqrt(N), the geometric mean of its
-    bracket (-1, -1/N).  Steps that leave the sign bracket of tau are replaced
-    by bisection.
+    midpoint; the ground root starts between the roots of one-pole models
+    that bound R from above and from below.  Steps that leave the sign
+    bracket of tau are replaced by bisection.  Once H(tau) is within its
+    rounding bound, the root of the model built at tau is returned, a step
+    beyond tau at no extra pass over the levels.
     """
+    levels, weights = spectrum.energies, spectrum.weights
     rows = np.arange(len(brackets))
     own = brackets.copy()
     inner = brackets > 0
+    delta, inv, terms = work[:, :len(rows)]
     # The sign of F - 1 at each interval midpoint names the nearer pole.
     centre = 0.5 * (levels[own[inner] - 1] + levels[own[inner]])
-    f_mid = (weights / _pole_distances(gamma[inner], levels, centre)).sum(axis=1)
+    dist = _pole_distances(gamma[inner], levels, centre, inv[:len(centre)])
+    f_mid = np.divide(weights, dist, out=dist).sum(axis=1)
     own[inner] -= f_mid >= 1.0
-    delta = _pole_distances(gamma, levels, levels[own])
+    _pole_distances(gamma, levels, levels[own], delta)
     # tau lies between the own pole and the interval midpoint; the ground
     # root lies in (-1, -1/N) because F(-1) < 1 < F(-1/N).
     other = np.where(own < brackets, brackets, np.maximum(brackets - 1, 0))
     half = 0.5 * delta[rows, other]
     delta[rows, own] = np.inf       # the own-pole term is kept exact, outside the sums
     lo = np.where(inner, np.minimum(half, 0.0), -1.0)
-    hi = np.where(inner, np.maximum(half, 0.0), -1.0 / n)
+    hi = np.where(inner, np.maximum(half, 0.0), -weights[0])
     sign = np.where(hi > 0.0, 1.0, -1.0)     # the sign of tau, fixed per row
     own_term = weights[own]
-    nxt = np.full(len(own), -n ** -0.5)
+    nxt = np.empty(len(own))
     out_tau = np.empty(len(own))
     out_fp = np.empty(len(own))
     # Two workspaces take each step's arrays in place.  They shrink with delta
     # when rows finish, not every step: at small K each numpy call counts.
-    inv, terms = np.empty_like(delta), np.empty_like(delta)
     live = rows
     with np.errstate(divide="ignore", invalid="ignore"):
         # Two-pole model -m_o/(N x) + m_x/(N (D - x)) + C = 1, with C matching
@@ -180,6 +183,20 @@ def _solve_block(levels, weights, n, gamma, brackets):
         a_o, a_x, d = own_term[inner], weights[other[inner]], 2.0 * half[inner]
         c1 = f_mid - 1.0 + 2.0 * (a_o - a_x) / d
         nxt[inner] = _signed_root(-c1 / d, c1 + (a_o + a_x) / d, a_o, sign[inner])
+        # Ground root: R(x) = sum_{k>=1} w_k/(gamma*E_k - x) is a Stieltjes
+        # function of x < 0, and Jensen's inequality bounds it by one-pole fits
+        # c/(p - x): from below by the fits to s1, s2 (c = s1^2/s2,
+        # p = gamma*s1/s2) and to W = 1 - 1/N, m1 (c = W, p = gamma*m1/W), from
+        # above by the fit to W, s1 (c = W, p = gamma*W/s1).  With R replaced by
+        # a fit, F = 1 is x**2 + (c - p + 1/N)*x = p/N; its negative root lies
+        # above the ground root for a lower fit and under it for the upper one.
+        # Start at the geometric mean of the upper fit's root and the lower of
+        # the other two.
+        w0, s1, s2, total = weights[0], spectrum.s1, spectrum.s2, 1.0 - weights[0]
+        c = np.array([[s1 * s1 / s2], [total], [total]])
+        p = np.array([[s1 / s2], [spectrum.m1 / total], [total / s1]]) * gamma[~inner]
+        fit = _signed_root(1.0, c - p + w0, w0 * p, -1.0)
+        nxt[~inner] = -np.sqrt(fit[2] * fit[:2].min(axis=0))
         nxt = np.where((lo < nxt) & (nxt < hi), nxt, 0.5 * (lo + hi))
         for _ in range(_MAX_ITER):
             tau = nxt
@@ -191,24 +208,30 @@ def _solve_block(levels, weights, n, gamma, brackets):
             spread = np.abs(terms, out=terms).sum(axis=1)
             h = tau * r1 - own_term
             nxt = _signed_root(rp, r1 - rp * tau, own_term, sign)
-            # Stop, keeping tau, once |H| is within its rounding bound or the
-            # step is down to the last bits of tau.
+            # Stop once |H| is within its rounding bound or the step is down
+            # to the last bits of tau.
             size = np.abs(tau)
             done = ((np.abs(h) <= 8.0 * _EPS * (size * (spread + 1.0) + own_term))
                     | (np.abs(nxt - tau) <= 4.0 * _EPS * size))
-            if done.any():
-                out_tau[live[done]] = tau[done]
-                out_fp[live[done]] = rp[done] + own_term[done] / tau[done] ** 2
-                if done.all():
-                    return gamma * levels[own] + out_tau, out_fp
-                keep = ~done
-                live, delta, own_term, sign, lo, hi, tau, h, nxt = (
-                    a[keep] for a in (live, delta, own_term, sign, lo, hi, tau, h, nxt))
-                inv, terms = inv[:len(live)], terms[:len(live)]
             above = sign * h >= 0.0
             hi = np.where(above, tau, hi)
             lo = np.where(above, lo, tau)
-            nxt = np.where((lo < nxt) & (nxt < hi), nxt, 0.5 * (lo + hi))
+            inside = (lo < nxt) & (nxt < hi)
+            if done.any():
+                # A finished row whose model root leaves the bracket keeps tau.
+                x = np.where(inside, nxt, tau)[done]
+                out_tau[live[done]] = x
+                out_fp[live[done]] = rp[done] + own_term[done] / x ** 2
+                if done.all():
+                    return gamma * levels[own] + out_tau, out_fp
+                keep = np.flatnonzero(~done)
+                live, own_term, sign, lo, hi, tau, h, nxt, inside = (
+                    a[keep] for a in (live, own_term, sign, lo, hi, tau, h, nxt, inside))
+                # The kept rows go into a workspace, which becomes delta: a
+                # fresh copy would take a fourth block.
+                np.take(delta, keep, axis=0, out=inv[:len(keep)], mode="clip")
+                delta, inv, terms = inv[:len(keep)], delta[:len(keep)], terms[:len(keep)]
+            nxt = np.where(inside, nxt, 0.5 * (lo + hi))
     b, g = int(brackets[live[0]]), float(gamma[live[0]])
     poles = (-np.inf, 0.0) if b == 0 else (g * levels[b - 1], g * levels[b])
     raise BracketError(

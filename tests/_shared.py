@@ -14,8 +14,11 @@ import tracemalloc
 
 import mpmath
 import numpy as np
+import pytest
 
+import qwsearch.secular
 from qwsearch import (
+    BracketError,
     DenseReference,
     DivergenceError,
     GraphFamily,
@@ -68,6 +71,22 @@ def _peak_bytes(fn, *args) -> int:
     finally:
         if not tracing:
             tracemalloc.stop()
+
+
+def steps_to_converge(levels, gamma: float, bracket: int) -> int:
+    """Steps the secular kernel takes on the root in `bracket`: the least
+    _MAX_ITER at which it converges there, found by patching the step limit."""
+    limit = qwsearch.secular._MAX_ITER
+    with pytest.MonkeyPatch.context() as patch:
+        for steps in range(1, limit + 1):
+            patch.setattr(qwsearch.secular, "_MAX_ITER", steps)
+            try:
+                qwsearch.secular._solve_brackets(levels, gamma, [bracket])
+            except BracketError:
+                if steps == limit:
+                    raise
+            else:
+                return steps
 
 
 @functools.lru_cache(maxsize=None)
@@ -303,6 +322,11 @@ def mp_secular_solution(levels, gamma: float, dps: int = 40):
             roots.append(e)
             weights.append(1 / f_and_fprime(e)[1])
         return roots, weights
+
+
+@functools.lru_cache(maxsize=None)
+def mp_solved(label: str, gamma: float):
+    return mp_secular_solution(levels(label), gamma)
 
 
 def round_sig(x: float, digits: int = 3) -> float:

@@ -290,6 +290,13 @@ def test_root_out_of_range():
         scaling_function_root(-5.0, 2)
 
 
+def test_root_above_range():
+    # the function reaches only about 2.5e10 at the bracket's upper end
+    # x = -1e-12, so a larger target has no root there
+    with pytest.raises(NoRootError, match="x=-1e-12"):
+        scaling_function_root(1e11, 2)
+
+
 def test_constant_table_structure():
     table = build_constant_table()
     kinds = {e.kind for e in table}

@@ -12,8 +12,10 @@ from _shared import (
     ground_and_gap,
     levels,
     mp_secular_solution,
+    mp_solved,
     scan_center,
     solved,
+    steps_to_converge,
 )
 
 import qwsearch.secular
@@ -178,6 +180,29 @@ def test_roots_and_weights_match_40_digits(label, gamma):
         assert worst <= 1e-13
 
 
+# The cases of the 1e-13 test above, and full solves on the benchmark's
+# coupling-sweep families across the critical coupling.
+_TIGHT_CASES = [
+    *[("lattice:2:16", g) for g in (0.1, 0.55, 1.3, 4.0)],
+    *[(label, factor * scan_center(label))
+      for label in ("lattice:10:2", "lattice:3:8", "complete:2") for factor in (0.25, 1.0, 4.0)],
+    *[(label, factor * scan_center(label))
+      for label in ("lattice:5:4", "lattice:4:6", "lattice:3:10", "lattice:2:32", "hypercube:10")
+      for factor in (0.5, 0.9, 1.1, 1.5)],
+]
+
+
+@pytest.mark.parametrize("label,gamma", _TIGHT_CASES)
+def test_roots_and_weights_at_rounding_level(label, gamma):
+    # a root returned from the model of its last step sits a few roundings
+    # from the 40-digit root, and so does its weight
+    spec = solved(label, gamma)
+    roots, weights = mp_solved(label, gamma)
+    for ours, refs in ((spec.energies, roots), (spec.w_weights, weights)):
+        worst = max(abs((mpmath.mpf(float(x)) - y) / y) for x, y in zip(ours, refs))
+        assert worst <= 1e-14
+
+
 def test_non_convergence_raises(monkeypatch):
     monkeypatch.setattr(qwsearch.secular, "_MAX_ITER", 1)
     gamma = scan_center("lattice:2:16")
@@ -203,13 +228,23 @@ def test_batched_couplings_match_lowest_two(label):
 
 
 def test_lowest_two_allocates_no_per_step_blocks():
-    # K > 2^16, so each row is its own block and holds four rows of K floats:
-    # the weights m_k/N, delta and the two step workspaces.  A temporary
-    # taken on every step would add a fifth.
+    # K > 2^16, so each row is its own block and holds three rows of K floats:
+    # delta and the two step workspaces (the weights come with the levels).
+    # A temporary taken on every step would add a fourth.
     ls = levels("lattice:2:1024")
     assert ls.num_levels > qwsearch.secular._BLOCK
     row = 8 * ls.num_levels
-    assert _peak_bytes(lowest_two, ls, scan_center("lattice:2:1024")) < 4.5 * row
+    assert _peak_bytes(lowest_two, ls, scan_center("lattice:2:1024")) < 3.5 * row
+
+
+def test_full_solve_compacts_in_place():
+    # a block holds delta and the two step workspaces; when rows finish, the
+    # kept rows of delta go into a workspace, so no fourth block is taken
+    ls = levels("lattice:2:64")
+    block = 8 * qwsearch.secular._BLOCK
+    assert ls.num_levels < qwsearch.secular._BLOCK // 4
+    for factor in (0.25, 1.0, 4.0):
+        assert _peak_bytes(solve_spectrum, ls, factor * scan_center("lattice:2:64")) < 3.5 * block
 
 
 def test_batched_non_convergence_names_row_coupling(monkeypatch):
@@ -271,6 +306,15 @@ def test_roots_converge_within_nine_steps(label, monkeypatch):
         lowest_two(ls, float(gamma))
         if label in BENCHMARK_FAMILIES[:5]:
             solve_spectrum(ls, float(gamma))
+
+
+@pytest.mark.parametrize("label", ["lattice:3:32", "lattice:2:64", "complete:1024",
+                                   "hypercube:10", "lattice:5:8"])
+def test_weak_coupling_ground_root_starts_near(label):
+    # at weak coupling the ground root sits near -1, far from any start that
+    # ignores the levels; the one-pole bounds on the rest of F put it close
+    ls = levels(label)
+    assert steps_to_converge(ls, 1e-6 * scan_center(label), 0) <= 5
 
 
 # Largest lattice side per dimension with N <= 4096.
