@@ -16,20 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._util import brent_root
-from .constants import (
-    NoRootError,
-    green_integral,
-    inverse_energy_sum,
-    log_law_intercept,
-    scaling_function_root,
-)
-from .evolution import (
-    OPTIMAL_TIME_GRID,
-    _grid_optimum,
-    amplitudes,
-    default_time_horizon,
-    find_optimal_time,
-)
+from .constants import NoRootError, green_integral, log_law_intercept, scaling_function_root
+from .evolution import default_time_horizon, find_optimal_time
 from .graphs import GraphFamily, LevelSpectrum, level_spectrum
 from .secular import _solve_brackets, lowest_two, solve_spectrum
 
@@ -223,7 +211,7 @@ def verify_transition_bounds(graph: GraphFamily, gamma: float) -> BoundReport:
     spectrum = level_spectrum(graph)
     rec = _record(n, gamma, *lowest_two(spectrum, gamma))
     e0, e1, s0, s1 = rec.e0, rec.e1, rec.overlap_s_psi0, rec.overlap_s_psi1
-    s2_sum = inverse_energy_sum(2, d, graph.side) * n      # sum_{k != 0} E_k^-2
+    s2_sum = spectrum.s2 * n  # sum_{k != 0} E_k^-2
     checks = []
     if gamma > gamma_ref:
         branch = "above"
@@ -275,14 +263,15 @@ def verify_failure_bounds(graph: GraphFamily, gamma: float) -> BoundReport:
     The unconditional ceiling max_t |amp| <= 2 sqrt(N) |E_0| is checked on
     both sides.  Above the critical coupling the closed form follows from
     the ground-energy bound; below it, dimension-specific resolvent bounds
-    put a floor under |E_0| that caps the amplitude.
+    put a floor under |E_0| that caps the amplitude.  max_t |amp| is
+    sqrt(p*) from find_optimal_time, the refined peak on [0, 4 sqrt(N)].
     """
     gamma_ref, margin = _require_clear_of_critical(graph, gamma)
     d = graph.dim
     n = graph.num_vertices
     slack = SLACK_D2 if d == 2 else SLACK_SMALL_TERMS
     spec = solve_spectrum(level_spectrum(graph), gamma)
-    max_amp = float(np.max(np.abs(amplitudes(spec, default_time_horizon(n), OPTIMAL_TIME_GRID))))
+    max_amp = math.sqrt(find_optimal_time(spec, default_time_horizon(n))[1])
     e0 = spec.energies[0]
     sqrt_n = math.sqrt(n)
     checks = [_check("amp-global", max_amp, 2.0 * sqrt_n * abs(e0), 1.0)]
@@ -332,8 +321,7 @@ def _window_half_width(spectrum: LevelSpectrum, gc: float, p_peak: float,
     return (hi_cross - lo_cross) / 2.0
 
 
-def critical_predictions(d: int, sides: list[int],
-                         measure_window: bool = True) -> list[PredictionRecord]:
+def critical_predictions(d: int, sides: list[int]) -> list[PredictionRecord]:
     """Asymptotic two-level predictions against the exact solver at measured gamma_c.
 
     Valid for d >= 4.  Predictions: the ground and first-excited energies
@@ -355,7 +343,7 @@ def critical_predictions(d: int, sides: list[int],
         horizon = default_time_horizon(n)
         t_star, p_star = find_optimal_time(spec, horizon)
         e_pred = i1 / math.sqrt(i2 * n)
-        width = _window_half_width(spectrum, gc, p_star, horizon) if measure_window else math.nan
+        width = _window_half_width(spectrum, gc, p_star, horizon)
         records.append(PredictionRecord(
             num_vertices=n,
             gamma_used=gc,
@@ -400,10 +388,8 @@ def subcritical_scaling(d: int, sides: list[int]) -> SubcriticalReport:
         n = graph.num_vertices
         gc = find_critical_gamma(graph)
         spec = solve_spectrum(level_spectrum(graph), gc)
-        horizon = default_time_horizon(n)
-        amps = amplitudes(spec, horizon, OPTIMAL_TIME_GRID)
-        max_amp = float(np.max(np.abs(amps)))
-        t_star, p_star = _grid_optimum(spec, horizon, amps)
+        t_star, p_star = find_optimal_time(spec, default_time_horizon(n))
+        max_amp = math.sqrt(p_star)
         records.append(ScalingRecord(
             num_vertices=n, gamma_used=gc, gap=float(spec.energies[1] - spec.energies[0]),
             t_star=t_star, p_star=p_star, runtime_metric=t_star / p_star,

@@ -26,6 +26,7 @@ from .analysis import (
     PredictionRecord,
     ScalingRecord,
     ScanRecord,
+    _margin,
     coupling_scan_center,
     critical_predictions,
     critical_reference,
@@ -352,10 +353,14 @@ def _cmd_critical(cfg: RunConfig) -> list[str]:
     }
     if bounded:
         payload["gamma_reference"] = ref
+        # Below N = 100 the margin widens past 0.5 ref (past ref below N = 25), so
+        # only the suites whose coupling clears it run.
+        margin = _margin(ref, graph.num_vertices)
         payload["bounds"] = [
             _bound_payload(verify(graph, factor * ref))
             for verify in (verify_transition_bounds, verify_failure_bounds)
             for factor in (0.5, 2.0)
+            if not abs(factor * ref - ref) < margin
         ]
     outputs = [write_json(os.path.join(cfg.output_dir, "critical.json"), payload)]
     records = scan_gamma(graph, 0.5 * gc, 1.5 * gc, cfg.points)

@@ -105,14 +105,12 @@ def green_integral(j: int, d: int) -> float:
     return _green_integral_err(j, d)[0]
 
 
-# One entry, as for level_spectrum: a bound suite asks again for the sum its
-# caller has just taken.
-@lru_cache(maxsize=1)
 def inverse_energy_sum(j: int, d: int, side: int) -> float:
-    """Exact finite sum (1/N) sum_{k != 0} E(k)^-j on the side^d torus; the last is kept."""
+    """Finite sum (1/N) sum_{k != 0} E(k)^-j on the side^d torus, j = 1 or 2: the level moment."""
+    if j not in (1, 2):
+        raise ValueError(f"the levels carry the sums for j = 1 and 2, got j={j}")
     levels = level_spectrum(GraphFamily.lattice(d, side))
-    terms = levels.multiplicities[1:] * levels.energies[1:] ** (-float(j))
-    return compensated_sum(terms) / levels.num_vertices
+    return levels.s1 if j == 1 else levels.s2
 
 
 # ---------------------------------------------------------------------------
@@ -180,11 +178,9 @@ LOG_LAW_SIDES = (64, 128, 256, 512)
 @lru_cache(maxsize=None)
 def log_law_fit() -> dict:
     """Fit inverse_energy_sum(1, 2, L) - ln(N)/(4 pi) = A + b/N over LOG_LAW_SIDES."""
-    xs, ys = [], []
-    for side in LOG_LAW_SIDES:
-        n = side * side
-        xs.append(1.0 / n)
-        ys.append(inverse_energy_sum(1, 2, side) - math.log(n) / (4.0 * math.pi))
+    sums = [inverse_energy_sum(1, 2, side) for side in LOG_LAW_SIDES]
+    xs = [1.0 / (side * side) for side in LOG_LAW_SIDES]
+    ys = [s - math.log(side * side) / (4.0 * math.pi) for s, side in zip(sums, LOG_LAW_SIDES)]
     slope, intercept = np.polyfit(xs, ys, 1)
     fitted = intercept + slope * np.asarray(xs)
     residuals = [y - f for y, f in zip(ys, fitted)]
@@ -192,6 +188,7 @@ def log_law_fit() -> dict:
         "intercept": float(intercept),
         "slope": float(slope),
         "sides": list(LOG_LAW_SIDES),
+        "sums": sums,
         "per_size_estimates": [float(y) for y in ys],
         "residuals": [float(r) for r in residuals],
     }
@@ -282,10 +279,8 @@ def build_constant_table() -> list[ConstantEntry]:
                                      "radial lattice sum + shell-integral tail",
                                      f"radius doubling from 64, drift <= {EPSTEIN_TARGET:g}"))
     fit = log_law_fit()
-    for side, est in zip(fit["sides"], fit["per_size_estimates"]):
-        n = side * side
-        entries.append(ConstantEntry("S", 1, 2, n, None,
-                                     inverse_energy_sum(1, 2, side),
+    for side, s1, est in zip(fit["sides"], fit["sums"], fit["per_size_estimates"]):
+        entries.append(ConstantEntry("S", 1, 2, side * side, None, s1,
                                      max(1e-13 * abs(est), 1e-16),
                                      "exact Brillouin sum", f"side {side}"))
     max_resid = max(abs(r) for r in fit["residuals"])

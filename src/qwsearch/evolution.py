@@ -88,7 +88,7 @@ def trace(spec: SecularSpectrum, t_max: float, num_points: int) -> EvolutionTrac
     return EvolutionTrace(gamma=spec.gamma, times=times, amplitudes=amps, probabilities=probs)
 
 
-def find_optimal_time(spec: SecularSpectrum, t_max: float, grid_points: int = OPTIMAL_TIME_GRID):
+def find_optimal_time(spec: SecularSpectrum, t_max: float):
     """Best measurement time on [0, t_max]: grid scan, then a root of d|amp|^2/dt.
 
     Brent's method solves the slope in the grid cell beside the best grid
@@ -98,13 +98,8 @@ def find_optimal_time(spec: SecularSpectrum, t_max: float, grid_points: int = OP
     """
     if not 0.0 < t_max < math.inf:
         raise ValueError(f"t_max must be positive and finite, got {t_max}")
-    return _grid_optimum(spec, t_max, amplitudes(spec, t_max, grid_points))
-
-
-def _grid_optimum(spec: SecularSpectrum, t_max: float, amps: np.ndarray):
-    """find_optimal_time from the amplitudes already evaluated on its grid."""
-    times = np.linspace(0.0, float(t_max), len(amps))
-    probs = np.abs(amps) ** 2
+    times = np.linspace(0.0, float(t_max), OPTIMAL_TIME_GRID)
+    probs = np.abs(amplitudes(spec, t_max, OPTIMAL_TIME_GRID)) ** 2
     i = int(np.argmax(probs))
     t_star, p_star = float(times[i]), float(probs[i])
     coeffs = spectral_coefficients(spec)

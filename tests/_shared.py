@@ -8,6 +8,7 @@ from scratch and never call the code path they check.
 
 from __future__ import annotations
 
+import decimal
 import functools
 import math
 import tracemalloc
@@ -279,30 +280,33 @@ def mp_secular_solution(levels, gamma: float, dps: int = 40):
     bracket, (-2, 0) for the ground root (F(-2) <= 1/2) and then every open
     interval between adjacent poles, is bisected until its width is 1e-4 of
     the distance to the nearer pole; Newton then converges quadratically to
-    within 1e-30 of that distance, or to the working precision of E.
-    Returns (roots, weights) as lists of mpf.
+    within 1e-30 of that distance, or to the working precision of E.  The
+    arithmetic is the standard library's decimal (C-backed; mpmath runs in
+    pure Python without gmpy2).  Returns (roots, weights) as lists of mpf.
     """
-    with mpmath.workdps(dps):
-        g = mpmath.mpf(float(gamma))
-        poles = [g * mpmath.mpf(float(e)) for e in levels.energies]
-        mults = [mpmath.mpf(int(m)) for m in levels.multiplicities]
-        n = mpmath.mpf(int(levels.num_vertices))
+    D = decimal.Decimal
+    exact = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+    g = D(float(gamma))
+    poles = [exact.multiply(g, D(float(e))) for e in levels.energies]
+    mults = [D(int(m)) for m in levels.multiplicities]
+    n = D(int(levels.num_vertices))
+    with decimal.localcontext(decimal.Context(prec=dps)):
 
         def f_and_fprime(e):
-            f = fp = mpmath.mpf(0)
+            f = fp = D(0)
             for p, m in zip(poles, mults):
                 t = m / (p - e)
                 f += t
                 fp += t / (p - e)
             return f / n - 1, fp / n
 
-        floor = mpmath.mpf(10) ** (4 - dps)
-        brackets = [(mpmath.mpf(-2), poles[0])] + list(zip(poles[:-1], poles[1:]))
+        floor = D(10) ** (4 - dps)
+        brackets = [(D(-2), poles[0])] + list(zip(poles[:-1], poles[1:]))
         roots, weights = [], []
         for i, (a, b) in enumerate(brackets):
             lo, hi = a, b
             # The ground bracket's lower end is not a pole.
-            while hi - lo > 1e-4 * (b - hi if i == 0 else min(lo - a, b - hi)):
+            while hi - lo > D("1e-4") * (b - hi if i == 0 else min(lo - a, b - hi)):
                 mid = (lo + hi) / 2
                 if f_and_fprime(mid)[0] >= 0:
                     hi = mid
@@ -315,13 +319,14 @@ def mp_secular_solution(levels, gamma: float, dps: int = 40):
                 e -= step
                 if not lo < e < hi:
                     raise ArithmeticError(f"bracket {i}: Newton left ({lo}, {hi})")
-                if abs(step) <= max(1e-30 * min(e - a, b - e), floor * abs(e)):
+                if abs(step) <= max(D("1e-30") * min(e - a, b - e), floor * abs(e)):
                     break
             else:
                 raise ArithmeticError(f"bracket {i}: Newton did not settle")
             roots.append(e)
             weights.append(1 / f_and_fprime(e)[1])
-        return roots, weights
+    with mpmath.workdps(dps):
+        return [mpmath.mpf(str(x)) for x in roots], [mpmath.mpf(str(x)) for x in weights]
 
 
 @functools.lru_cache(maxsize=None)

@@ -14,13 +14,16 @@ from qwsearch import (
     GraphFamily,
     critical_predictions,
     critical_reference,
+    default_time_horizon,
     find_critical_gamma,
+    find_optimal_time,
     green_integral,
     inverse_energy_sum,
     level_spectrum,
     log_law_intercept,
     lowest_two,
     scan_gamma,
+    solve_spectrum,
     subcritical_scaling,
     verify_failure_bounds,
     verify_transition_bounds,
@@ -294,13 +297,23 @@ def test_failure_bounds_below_d4(gamma):
     assert below.rhs == pytest.approx(1.5 * 2.0 / (36.0 * floor), rel=1e-13)
 
 
+def test_failure_bounds_read_the_refined_peak():
+    # max_t |amp| is sqrt(p*) from find_optimal_time, never below the grid maximum
+    graph = family("lattice:3:10")
+    gamma = 2.0 * critical_reference(graph)
+    report = verify_failure_bounds(graph, gamma)
+    spec = solve_spectrum(level_spectrum(graph), gamma)
+    p_star = find_optimal_time(spec, default_time_horizon(graph.num_vertices))[1]
+    assert next(c.lhs for c in report.checks if c.bound_id == "amp-global") == math.sqrt(p_star)
+
+
 def test_predictions_reject_low_dim():
     with pytest.raises(ValueError):
         critical_predictions(3, [6, 8])
 
 
 def test_predictions_d5_converge():
-    records = critical_predictions(5, [4, 6], measure_window=False)
+    records = critical_predictions(5, [4, 6])
     devs = [abs((r.e1_measured - r.e0_measured) - (r.e1_predicted - r.e0_predicted))
             / (r.e1_predicted - r.e0_predicted) for r in records]
     assert devs[1] < devs[0]
@@ -328,16 +341,13 @@ def test_large_lattice_sequence_builds_levels_once():
     # the large-lattice benchmark task shares one build across its layers
     graph = family("lattice:3:10")
     level_spectrum.cache_clear()
-    inverse_energy_sum.cache_clear()
     level_spectrum(graph)
     inverse_energy_sum(2, 3, 10)
     verify_transition_bounds(graph, 0.5 * critical_reference(graph))
     find_critical_gamma(graph)
     assert level_spectrum.cache_info().misses == 1
-    assert inverse_energy_sum.cache_info().misses == 1
     # the memo keeps one graph, so alternating graphs rebuild on every call
     level_spectrum.cache_clear()
-    inverse_energy_sum.cache_clear()
     for side in (10, 8, 10, 8):
         inverse_energy_sum(2, 3, side)
     info = level_spectrum.cache_info()
@@ -347,7 +357,7 @@ def test_large_lattice_sequence_builds_levels_once():
 def test_subcritical_one_amplitude_grid_per_side(monkeypatch):
     calls = []
     grid = qwsearch.evolution.OPTIMAL_TIME_GRID
-    _counting(monkeypatch, (qwsearch.analysis, qwsearch.evolution), "amplitudes", calls,
+    _counting(monkeypatch, (qwsearch.evolution,), "amplitudes", calls,
               keep=lambda spec, t_max, num_points: num_points == grid)
     sides = [6, 8]
     subcritical_scaling(3, sides)
@@ -356,7 +366,7 @@ def test_subcritical_one_amplitude_grid_per_side(monkeypatch):
 
 @pytest.mark.parametrize("run, builds", [
     (lambda: subcritical_scaling(3, [6, 8]), 2),
-    (lambda: critical_predictions(5, [4], measure_window=False), 1),
+    (lambda: critical_predictions(5, [4]), 1),
 ], ids=["subcritical", "critical"])
 def test_experiments_build_levels_once_per_side(run, builds):
     level_spectrum.cache_clear()

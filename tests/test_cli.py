@@ -155,6 +155,19 @@ def test_critical_command(tmp_path):
             assert sorted(check) == ["applicable", "bound_id", "lhs", "pass", "rhs", "slack"]
 
 
+@pytest.mark.parametrize("label, sides", [("lattice:2:8", ["above", "above"]),
+                                          ("lattice:3:2", [])])
+def test_critical_command_small_lattice(tmp_path, label, sides):
+    # below N = 100 the 0.5 ref couplings fall inside the critical margin, and
+    # below N = 25 the 2 ref ones too; only the suites that clear it run
+    rc = main(["critical", "--graph", label, "--points", "11", "--output-dir", str(tmp_path)])
+    assert rc == 0
+    payload = json.loads((tmp_path / "critical.json").read_text())
+    assert [b["side"] for b in payload["bounds"]] == sides
+    for bound in payload["bounds"]:
+        assert abs(bound["gamma"] - bound["gamma_reference"]) >= bound["margin"]
+
+
 def test_validate_command(tmp_path):
     rc = main(["validate", "--oracle-cap", "300", "--seed", "7",
                "--output-dir", str(tmp_path)])

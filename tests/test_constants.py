@@ -9,17 +9,20 @@ from _shared import _counting, dispersion_values, green_integral_bruteforce, rou
 import qwsearch.constants
 from qwsearch import (
     DivergenceError,
+    GraphFamily,
     NoRootError,
     build_constant_table,
+    coupling_scan_center,
     epstein_sum,
     green_integral,
     inverse_energy_sum,
+    level_spectrum,
     log_law_fit,
     log_law_intercept,
     scaling_function,
     scaling_function_root,
 )
-from qwsearch.constants import SCALING_RADIUS, _norm_counts
+from qwsearch.constants import LOG_LAW_SIDES, SCALING_RADIUS, _norm_counts
 
 # Published 3-digit table for the convergent integrals.  The (2, 5) entry is
 # not reproducible from the defining integral: quadrature and finite-lattice
@@ -162,12 +165,32 @@ def test_inverse_energy_sum_tiny_ring():
 def test_inverse_energy_sum_repeat_does_no_new_sum(monkeypatch):
     sums = []
     _counting(monkeypatch, (qwsearch.constants,), "compensated_sum", sums)
-    inverse_energy_sum.cache_clear()
     first = inverse_energy_sum(2, 3, 10)
+    builds = level_spectrum.cache_info().misses
     assert inverse_energy_sum(2, 3, 10) == first
-    assert len(sums) == 1
-    inverse_energy_sum(2, 3, 8)
-    assert len(sums) == 2
+    assert level_spectrum.cache_info().misses == builds
+    assert sums == []
+
+
+@pytest.mark.parametrize("d,side", [(5, 16), (4, 32), (3, 64), (2, 256), (3, 128), (2, 1024)])
+def test_inverse_energy_sum_reads_level_moments(d, side):
+    # the level build is the one producer of S1 and S2, so every reader agrees bitwise
+    levels = level_spectrum(GraphFamily.lattice(d, side))
+    assert inverse_energy_sum(1, d, side) == levels.s1 == coupling_scan_center(levels)
+    assert inverse_energy_sum(2, d, side) == levels.s2
+
+
+def test_inverse_energy_sum_other_powers_rejected():
+    with pytest.raises(ValueError, match="j=3"):
+        inverse_energy_sum(3, 3, 8)
+
+
+def test_constant_table_builds_each_log_law_lattice_once():
+    # the table reads the sums the fit took, so a cold call builds each side once
+    log_law_fit.cache_clear()
+    level_spectrum.cache_clear()
+    build_constant_table()
+    assert level_spectrum.cache_info().misses == len(LOG_LAW_SIDES)
 
 
 @pytest.mark.parametrize("j,d,side", [

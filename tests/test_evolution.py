@@ -28,7 +28,7 @@ from qwsearch import (
     green_integral,
     trace,
 )
-from qwsearch.evolution import OPTIMAL_TIME_GRID, _grid_optimum, spectral_coefficients
+from qwsearch.evolution import OPTIMAL_TIME_GRID, spectral_coefficients
 
 
 def test_amplitude_at_zero_is_root_n():
@@ -125,13 +125,14 @@ def test_optimal_probability_dominates_grid():
 
 @pytest.mark.parametrize("label", ("lattice:5:8", "lattice:2:32", "lattice:4:16",
                                    "lattice:2:64", "lattice:3:32"))
-def test_optimal_time_matches_plain_grid(label):
+def test_optimal_time_matches_plain_grid(label, monkeypatch):
     horizon = default_time_horizon(family(label).num_vertices)
     for factor in (0.5, 1.0, 2.0):
         spec = solved(label, factor * scan_center(label))
-        ref = grid_amplitudes_reference(spec, horizon, OPTIMAL_TIME_GRID)
-        t_ref, p_ref = _grid_optimum(spec, horizon, ref)
         t_star, p_star = find_optimal_time(spec, horizon)
+        with monkeypatch.context() as patch:
+            patch.setattr(qwsearch.evolution, "amplitudes", grid_amplitudes_reference)
+            t_ref, p_ref = find_optimal_time(spec, horizon)
         assert t_star == pytest.approx(t_ref, rel=1e-12)
         assert p_star == pytest.approx(p_ref, rel=1e-12)
 
