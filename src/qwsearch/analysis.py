@@ -194,6 +194,17 @@ def _require_clear_of_critical(graph: GraphFamily, gamma: float):
     return gamma_ref, margin
 
 
+def bound_suites(graph: GraphFamily) -> list[BoundReport]:
+    """Both bound suites at 0.5 and 2 times gamma_ref, where they clear the critical
+    margin: below N = 100 the 0.5x couplings do not, and below N = 25 neither does."""
+    gamma_ref = critical_reference(graph)
+    margin = _margin(gamma_ref, graph.num_vertices)
+    return [verify(graph, gamma)
+            for verify in (verify_transition_bounds, verify_failure_bounds)
+            for gamma in (0.5 * gamma_ref, 2.0 * gamma_ref)
+            if not abs(gamma - gamma_ref) < margin]
+
+
 def verify_transition_bounds(graph: GraphFamily, gamma: float) -> BoundReport:
     """Check the away-from-critical eigenstate bounds on a lattice family.
 
@@ -235,11 +246,9 @@ def verify_transition_bounds(graph: GraphFamily, gamma: float) -> BoundReport:
                        margin=margin, side=branch, checks=checks)
 
 
-def _check(bound_id: str, lhs: float, rhs: float, slack: float,
-           applicable: bool = True) -> BoundCheck:
+def _check(bound_id: str, lhs: float, rhs: float, slack: float) -> BoundCheck:
     return BoundCheck(bound_id=bound_id, lhs=float(lhs), rhs=float(slack * rhs),
-                      slack=float(slack), passed=bool(lhs <= slack * rhs),
-                      applicable=applicable)
+                      slack=float(slack), passed=bool(lhs <= slack * rhs))
 
 
 def _d4_energy_floor(gamma: float, i1: float) -> float:
@@ -270,8 +279,8 @@ def verify_failure_bounds(graph: GraphFamily, gamma: float) -> BoundReport:
     d = graph.dim
     n = graph.num_vertices
     slack = SLACK_D2 if d == 2 else SLACK_SMALL_TERMS
-    spec = solve_spectrum(level_spectrum(graph), gamma)
-    max_amp = math.sqrt(find_optimal_time(spec, default_time_horizon(n))[1])
+    spec, _, p_star = _optimum(level_spectrum(graph), gamma)
+    max_amp = math.sqrt(p_star)
     e0 = spec.energies[0]
     sqrt_n = math.sqrt(n)
     checks = [_check("amp-global", max_amp, 2.0 * sqrt_n * abs(e0), 1.0)]
@@ -295,16 +304,16 @@ def verify_failure_bounds(graph: GraphFamily, gamma: float) -> BoundReport:
                        margin=margin, side=branch, checks=checks)
 
 
-def _p_star_at(spectrum: LevelSpectrum, gamma: float, horizon: float) -> float:
+def _optimum(spectrum: LevelSpectrum, gamma: float):
+    """(spec, t*, p*): the spectrum at gamma and its peak on [0, default_time_horizon(N)]."""
     spec = solve_spectrum(spectrum, gamma)
-    return find_optimal_time(spec, horizon)[1]
+    return (spec, *find_optimal_time(spec, default_time_horizon(spectrum.num_vertices)))
 
 
-def _window_half_width(spectrum: LevelSpectrum, gc: float, p_peak: float,
-                       horizon: float) -> float:
+def _window_half_width(spectrum: LevelSpectrum, gc: float, p_peak: float) -> float:
     """Half-width of the coupling window where p* stays above half its peak."""
     rel = np.linspace(0.85, 1.15, 13)
-    ps = [p_peak if r == 1.0 else _p_star_at(spectrum, r * gc, horizon) for r in rel]
+    ps = [p_peak if r == 1.0 else _optimum(spectrum, r * gc)[2] for r in rel]
     half = p_peak / 2.0
     lo_cross = hi_cross = math.nan
     for k in range(len(rel) - 1):
@@ -339,11 +348,9 @@ def critical_predictions(d: int, sides: list[int]) -> list[PredictionRecord]:
         i2 = math.log(n) / (32.0 * math.pi**2) if d == 4 else green_integral(2, d)
         spectrum = level_spectrum(graph)
         gc = find_critical_gamma(graph)
-        spec = solve_spectrum(spectrum, gc)
-        horizon = default_time_horizon(n)
-        t_star, p_star = find_optimal_time(spec, horizon)
+        spec, t_star, p_star = _optimum(spectrum, gc)
         e_pred = i1 / math.sqrt(i2 * n)
-        width = _window_half_width(spectrum, gc, p_star, horizon)
+        width = _window_half_width(spectrum, gc, p_star)
         records.append(PredictionRecord(
             num_vertices=n,
             gamma_used=gc,
@@ -387,8 +394,7 @@ def subcritical_scaling(d: int, sides: list[int]) -> SubcriticalReport:
         graph = GraphFamily.lattice(d, side)
         n = graph.num_vertices
         gc = find_critical_gamma(graph)
-        spec = solve_spectrum(level_spectrum(graph), gc)
-        t_star, p_star = find_optimal_time(spec, default_time_horizon(n))
+        spec, t_star, p_star = _optimum(level_spectrum(graph), gc)
         max_amp = math.sqrt(p_star)
         records.append(ScalingRecord(
             num_vertices=n, gamma_used=gc, gap=float(spec.energies[1] - spec.energies[0]),

@@ -17,7 +17,7 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import asdict, astuple, dataclass, fields
+from dataclasses import asdict, astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -26,15 +26,13 @@ from .analysis import (
     PredictionRecord,
     ScalingRecord,
     ScanRecord,
-    _margin,
+    bound_suites,
     coupling_scan_center,
     critical_predictions,
     critical_reference,
     find_critical_gamma,
     scan_gamma,
     subcritical_scaling,
-    verify_failure_bounds,
-    verify_transition_bounds,
 )
 from .constants import ConstantEntry, build_constant_table
 from .evolution import (
@@ -109,7 +107,7 @@ class RunConfig:
     time_points: int = 512
     dim: int | None = None
     sides: tuple[int, ...] | None = None
-    output_dir: str = "."
+    output_dir: str = field(default_factory=lambda: os.environ.get(OUTPUT_DIR_ENV, "."))
     fmt: str = "csv"
     plot: str = "none"
     seed: int = 0
@@ -172,14 +170,6 @@ def _write_manifest(cfg: RunConfig, outputs: list[str]) -> str:
     return write_json(path, payload)
 
 
-def _maybe_json_mirror(cfg: RunConfig, stem: str, header: list[str],
-                       rows: list[list], outputs: list[str]):
-    if cfg.fmt == "json":
-        payload = [dict(zip(header, [float(v) if isinstance(v, (float, np.floating))
-                                     else v for v in row])) for row in rows]
-        outputs.append(write_json(os.path.join(cfg.output_dir, f"{stem}.json"), payload))
-
-
 def _table(cls, records) -> tuple[list[str], list[tuple]]:
     """A record dataclass as a table: its field names, then one row per record."""
     return [f.name for f in fields(cls)], [astuple(r) for r in records]
@@ -188,7 +178,10 @@ def _table(cls, records) -> tuple[list[str], list[tuple]]:
 def _emit_table(cfg: RunConfig, stem: str, header: list[str], rows: list[list],
                 outputs: list[str]):
     outputs.append(write_csv(os.path.join(cfg.output_dir, f"{stem}.csv"), header, rows))
-    _maybe_json_mirror(cfg, stem, header, rows, outputs)
+    if cfg.fmt == "json":
+        payload = [dict(zip(header, [float(v) if isinstance(v, (float, np.floating))
+                                     else v for v in row])) for row in rows]
+        outputs.append(write_json(os.path.join(cfg.output_dir, f"{stem}.json"), payload))
     if cfg.plot == "gnuplot" or cfg.command == "figures":
         outputs.append(_write_gnuplot(cfg, stem, header))
     if cfg.plot == "svg":
@@ -353,15 +346,7 @@ def _cmd_critical(cfg: RunConfig) -> list[str]:
     }
     if bounded:
         payload["gamma_reference"] = ref
-        # Below N = 100 the margin widens past 0.5 ref (past ref below N = 25), so
-        # only the suites whose coupling clears it run.
-        margin = _margin(ref, graph.num_vertices)
-        payload["bounds"] = [
-            _bound_payload(verify(graph, factor * ref))
-            for verify in (verify_transition_bounds, verify_failure_bounds)
-            for factor in (0.5, 2.0)
-            if not abs(factor * ref - ref) < margin
-        ]
+        payload["bounds"] = [_bound_payload(r) for r in bound_suites(graph)]
     outputs = [write_json(os.path.join(cfg.output_dir, "critical.json"), payload)]
     records = scan_gamma(graph, 0.5 * gc, 1.5 * gc, cfg.points)
     _emit_table(cfg, "critical_scan", *_table(ScanRecord, records), outputs)
@@ -485,42 +470,43 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, graph=False, gamma=False):
-        p.add_argument("--output-dir", default=os.environ.get(OUTPUT_DIR_ENV, "."))
-        p.add_argument("--format", choices=("csv", "json"), default="csv", dest="fmt")
-        p.add_argument("--plot", choices=("none", "gnuplot", "svg"), default="none")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--oracle-cap", type=int, default=DEFAULT_ORACLE_CAP)
+    # Each command takes only the flags it reads; defaults live in RunConfig alone.
+    def command(name, summary, table=True, plot=True, graph=False, gamma=False):
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--output-dir")
+        if table:
+            p.add_argument("--format", choices=("csv", "json"), dest="fmt")
+        if plot:
+            p.add_argument("--plot", choices=("none", "gnuplot", "svg"))
         if graph:
             p.add_argument("--graph", required=True,
                            help="complete:<N> | hypercube:<n> | lattice:<d>:<L>")
         if gamma:
             p.add_argument("--gamma", type=float, required=True)
+        return p
 
-    common(sub.add_parser("constants", help="emit the analytic constant table"))
-    common(sub.add_parser("spectrum", help="solve one rank-one spectrum"), graph=True, gamma=True)
-    p = sub.add_parser("scan", help="gap and overlaps over a coupling window")
-    common(p, graph=True)
+    command("constants", "emit the analytic constant table", plot=False)
+    command("spectrum", "solve one rank-one spectrum", graph=True, gamma=True)
+    p = command("scan", "gap and overlaps over a coupling window", graph=True)
     p.add_argument("--gamma-range", help="LO:HI, defaults to 0.5x..1.5x the scan center")
-    p.add_argument("--points", type=int, default=101)
-    p = sub.add_parser("evolve", help="success amplitude over time")
-    common(p, graph=True, gamma=True)
+    p.add_argument("--points", type=int)
+    p = command("evolve", "success amplitude over time", graph=True, gamma=True)
     p.add_argument("--time-max", type=float)
-    p.add_argument("--points", type=int, default=512, dest="time_points")
-    p = sub.add_parser("critical", help="locate the critical coupling; lattice bound suites")
-    common(p, graph=True)
-    p.add_argument("--points", type=int, default=101)
-    p = sub.add_parser("scaling", help="N-scaling study at the measured critical coupling")
-    common(p)
+    p.add_argument("--points", type=int, dest="time_points")
+    p = command("critical", "locate the critical coupling; lattice bound suites", graph=True)
+    p.add_argument("--points", type=int)
+    p = command("scaling", "N-scaling study at the measured critical coupling")
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--sides", required=True, help="comma-separated side lengths")
-    common(sub.add_parser("validate", help="spectral path against the dense oracle"))
-    common(sub.add_parser("figures", help="emit the standard figure datasets and plot scripts"))
+    p = command("validate", "spectral path against the dense oracle", table=False, plot=False)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--oracle-cap", type=int)
+    command("figures", "emit the standard figure datasets and plot scripts")
     return parser
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    given = vars(args)
+    given = {k: v for k, v in vars(args).items() if v is not None}
     cfg = RunConfig(**{f.name: given[f.name] for f in fields(RunConfig) if f.name in given})
     if given.get("gamma_range"):
         lo, _, hi = args.gamma_range.partition(":")

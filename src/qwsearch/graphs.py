@@ -35,6 +35,10 @@ class GraphFamily:
     dim: int | None = None
     side: int | None = None
 
+    def __post_init__(self):
+        if self.num_vertices > 2**63 - 1:     # the level multiplicities are int64
+            raise ValueError(f"{self.label()} has N = {self.num_vertices} > 2**63 - 1")
+
     @classmethod
     def complete(cls, num_vertices: int) -> "GraphFamily":
         if num_vertices < 2:

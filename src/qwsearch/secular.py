@@ -169,6 +169,7 @@ def _solve_block(spectrum, gamma, brackets, work):
     delta[rows, own] = np.inf       # the own-pole term is kept exact, outside the sums
     lo = np.where(inner, np.minimum(half, 0.0), -1.0)
     hi = np.where(inner, np.maximum(half, 0.0), -weights[0])
+    end = np.where(inner, half, hi)     # the end a root can round onto: not the own pole
     sign = np.where(hi > 0.0, 1.0, -1.0)     # the sign of tau, fixed per row
     own_term = weights[own]
     nxt = np.empty(len(own))
@@ -208,25 +209,27 @@ def _solve_block(spectrum, gamma, brackets, work):
             spread = np.abs(terms, out=terms).sum(axis=1)
             h = tau * r1 - own_term
             nxt = _signed_root(rp, r1 - rp * tau, own_term, sign)
-            # Stop once |H| is within its rounding bound or the step is down
-            # to the last bits of tau.
+            # Stop once |H| is within its rounding bound, the step is down to the
+            # last bits of tau, or the model root rounds onto the bracket end (the
+            # ground root can lie within half an ulp of -1/N).
             size = np.abs(tau)
+            edge = nxt == end
             done = ((np.abs(h) <= 8.0 * _EPS * (size * (spread + 1.0) + own_term))
-                    | (np.abs(nxt - tau) <= 4.0 * _EPS * size))
+                    | (np.abs(nxt - tau) <= 4.0 * _EPS * size) | edge)
             above = sign * h >= 0.0
             hi = np.where(above, tau, hi)
             lo = np.where(above, lo, tau)
             inside = (lo < nxt) & (nxt < hi)
             if done.any():
                 # A finished row whose model root leaves the bracket keeps tau.
-                x = np.where(inside, nxt, tau)[done]
+                x = np.where(inside | edge, nxt, tau)[done]
                 out_tau[live[done]] = x
                 out_fp[live[done]] = rp[done] + own_term[done] / x ** 2
                 if done.all():
                     return gamma * levels[own] + out_tau, out_fp
                 keep = np.flatnonzero(~done)
-                live, own_term, sign, lo, hi, tau, h, nxt, inside = (
-                    a[keep] for a in (live, own_term, sign, lo, hi, tau, h, nxt, inside))
+                live, own_term, sign, lo, hi, end, tau, h, nxt, inside = (
+                    a[keep] for a in (live, own_term, sign, lo, hi, end, tau, h, nxt, inside))
                 # The kept rows go into a workspace, which becomes delta: a
                 # fresh copy would take a fourth block.
                 np.take(delta, keep, axis=0, out=inv[:len(keep)], mode="clip")

@@ -28,6 +28,7 @@ from qwsearch import (
     verify_failure_bounds,
     verify_transition_bounds,
 )
+from qwsearch.analysis import bound_suites
 
 # The coupling-sweep benchmark families.
 SWEEP_FAMILIES = ("complete:1024", "hypercube:10", "lattice:5:4", "lattice:4:6",
@@ -295,6 +296,25 @@ def test_failure_bounds_below_d4(gamma):
     assert report.all_pass()
     below = next(c for c in report.checks if c.bound_id == "amp-below-closed")
     assert below.rhs == pytest.approx(1.5 * 2.0 / (36.0 * floor), rel=1e-13)
+
+
+@pytest.mark.parametrize("label, sides", [
+    ("lattice:3:6", ["below", "above", "below", "above"]),
+    ("lattice:2:8", ["above", "above"]),     # below N = 100 the 0.5 ref couplings drop out
+    ("lattice:3:2", []),                     # below N = 25 the 2 ref ones too
+])
+def test_bound_suites_clear_the_margin(label, sides):
+    graph = family(label)
+    reports = bound_suites(graph)
+    assert [r.side for r in reports] == sides
+    ref = critical_reference(graph)
+    # both suites run at the same couplings, the transition suite first
+    suites = [verify for verify in (verify_transition_bounds, verify_failure_bounds)
+              for _ in range(len(sides) // 2)]
+    for report, verify in zip(reports, suites, strict=True):
+        assert report == verify(graph, report.gamma)
+        assert report.gamma in (0.5 * ref, 2.0 * ref)
+        assert abs(report.gamma - ref) >= report.margin
 
 
 def test_failure_bounds_read_the_refined_peak():

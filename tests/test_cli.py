@@ -1,5 +1,8 @@
+import argparse
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 
@@ -8,7 +11,14 @@ import pytest
 
 import qwsearch.secular
 from qwsearch import level_spectrum
-from qwsearch.cli import SCAN_HEADER, GraphSpecError, main, parse_graph_spec, write_csv
+from qwsearch.cli import (
+    SCAN_HEADER,
+    GraphSpecError,
+    _build_parser,
+    main,
+    parse_graph_spec,
+    write_csv,
+)
 
 SCAN_COLUMNS = ["gamma", "e0", "e1", "gap", "overlap_s_psi0",
                 "overlap_s_psi1", "overlap_w_psi0", "overlap_w_psi1"]
@@ -200,6 +210,81 @@ def test_figures_command(tmp_path):
     energies = np.array([float(r[0]) for r in rows])
     for pole in (0.0, 2.0, 4.0, 6.0, 8.0):
         assert np.min(np.abs(energies - pole)) >= 0.01
+
+
+# Each command's flags: only what its handler reads.
+TABLE_FLAGS = ["--output-dir", "--format", "--plot"]
+COMMAND_FLAGS = {
+    "constants": ["--output-dir", "--format"],
+    "spectrum": [*TABLE_FLAGS, "--graph", "--gamma"],
+    "scan": [*TABLE_FLAGS, "--graph", "--gamma-range", "--points"],
+    "evolve": [*TABLE_FLAGS, "--graph", "--gamma", "--time-max", "--points"],
+    "critical": [*TABLE_FLAGS, "--graph", "--points"],
+    "scaling": [*TABLE_FLAGS, "--dim", "--sides"],
+    "validate": ["--output-dir", "--seed", "--oracle-cap"],
+    "figures": TABLE_FLAGS,
+}
+
+
+def _command_actions():
+    """Each command's settable flags as argparse actions, by command name."""
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {name: [a for a in p._actions if a.dest != "help"] for name, p in sub.choices.items()}
+
+
+def test_each_command_takes_only_the_flags_it_reads():
+    actions = _command_actions()
+    assert {name: sorted(a.option_strings[0] for a in acts) for name, acts in actions.items()} == {
+        name: sorted(flags) for name, flags in COMMAND_FLAGS.items()}
+    assert sum(map(len, actions.values())) == 36
+
+
+def test_parser_sets_no_defaults():
+    # RunConfig is the one place defaults are written
+    for acts in _command_actions().values():
+        assert all(a.default is None for a in acts)
+
+
+@pytest.mark.parametrize("args", [
+    ["scan", "--graph", "complete:16", "--seed", "1"],
+    ["validate", "--format", "json"],
+    ["constants", "--plot", "svg"],
+])
+def test_unread_flags_are_usage_errors(tmp_path, capsys, args):
+    with pytest.raises(SystemExit) as exc:
+        main([*args, "--output-dir", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+def test_readme_examples_parse():
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "README.md")
+    with open(readme) as fh:
+        block = re.search(r"## Command-line interface.*?```sh\n(.*?)```", fh.read(), re.S)[1]
+    lines = [shlex.split(ln, comments=True) for ln in block.splitlines()]
+    assert len(lines) >= 8 and all(words[0] == "qwsearch" for words in lines)
+    parser = _build_parser()
+    assert {parser.parse_args(words[1:]).command for words in lines} == set(COMMAND_FLAGS)
+
+
+@pytest.mark.parametrize("label", ["hypercube:63", "lattice:32:4", "lattice:21:8",
+                                   "complete:9223372036854775808", "lattice:40:4"])
+def test_vertex_count_past_int64_is_a_config_error(tmp_path, capsys, label):
+    rc = main(["spectrum", "--graph", label, "--gamma", "1", "--output-dir", str(tmp_path)])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert (err["type"], err["class"], err["graph"]) == ("config", "ValueError", label)
+    assert "2**63 - 1" in err["message"]
+
+
+@pytest.mark.parametrize("label", ["hypercube:62", "lattice:31:4", "complete:9223372036854775807"])
+def test_vertex_count_up_to_int64_solves(tmp_path, label):
+    rc = main(["spectrum", "--graph", label, "--gamma", "1", "--output-dir", str(tmp_path)])
+    assert rc == 0
+    summary = json.loads((tmp_path / "spectrum_summary.json").read_text())
+    assert abs(summary["sum_rule"] + 1.0) < 1e-9
 
 
 def test_output_dir_env(tmp_path, monkeypatch):

@@ -288,6 +288,18 @@ def test_near_pole_roots_survive():
         assert abs(spec.sum_rule() + 1.0) < 1e-9
 
 
+@pytest.mark.parametrize("n, gamma", [(2**51, 10.0), (2**54, 1.0), (2**58, 0.1),
+                                      (2**63 - 1, 1e-12), (2**63 - 1, 10.0)])
+def test_ground_root_on_bracket_end(n, gamma):
+    # gamma N >= 2e16 puts the ground root within half an ulp of the bracket end -1/N;
+    # the model root rounds onto it and is returned
+    spec = solve_spectrum(level_spectrum(GraphFamily.complete(n)), gamma)
+    assert -1.0 < spec.energies[0] <= -1.0 / n
+    assert abs(spec.sum_rule() + 1.0) <= 1e-12
+    assert abs(math.fsum(spec.w_weights) - 1.0) <= 1e-12
+    assert abs(math.fsum(spec.s_weights) - 1.0) <= 1e-12
+
+
 # The distinct families of the benchmark's three workloads; the first five
 # are its full-spectrum families.
 BENCHMARK_FAMILIES = (
