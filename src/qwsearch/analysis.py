@@ -183,15 +183,19 @@ def _margin(gamma_ref: float, num_vertices: int) -> float:
     return max(MARGIN_REL * gamma_ref, MARGIN_SQRT * gamma_ref / math.sqrt(num_vertices))
 
 
-def _require_clear_of_critical(graph: GraphFamily, gamma: float):
+def _bound_report(graph: GraphFamily, gamma: float, suite) -> BoundReport:
+    """The frame of a bound suite at gamma: gamma_ref, the critical margin, the side
+    and the slack; suite(gamma_ref, slack) gives the checks.  Inside the margin the
+    away-from-critical bounds do not apply, and this raises ValueError."""
     gamma_ref = critical_reference(graph)
     margin = _margin(gamma_ref, graph.num_vertices)
     if abs(gamma - gamma_ref) < margin:
-        raise ValueError(
-            f"gamma={gamma} is within the critical margin {margin:.3g} of "
-            f"{gamma_ref:.6g}; the away-from-critical bounds do not apply"
-        )
-    return gamma_ref, margin
+        raise ValueError(f"gamma={gamma} is within the critical margin {margin:.3g} of "
+                         f"{gamma_ref:.6g}; the away-from-critical bounds do not apply")
+    slack = SLACK_D2 if graph.dim == 2 else SLACK_SMALL_TERMS
+    return BoundReport(graph=graph.label(), gamma=float(gamma), gamma_reference=gamma_ref,
+                       margin=margin, side="above" if gamma > gamma_ref else "below",
+                       checks=suite(gamma_ref, slack))
 
 
 def bound_suites(graph: GraphFamily) -> list[BoundReport]:
@@ -215,35 +219,26 @@ def verify_transition_bounds(graph: GraphFamily, gamma: float) -> BoundReport:
     inequality (no slack) and through the closed form obtained by inserting
     the energy bound (slack squared).
     """
-    gamma_ref, margin = _require_clear_of_critical(graph, gamma)
-    d = graph.dim
-    n = graph.num_vertices
-    slack = SLACK_D2 if d == 2 else SLACK_SMALL_TERMS
-    spectrum = level_spectrum(graph)
-    rec = _record(n, gamma, *lowest_two(spectrum, gamma))
-    e0, e1, s0, s1 = rec.e0, rec.e1, rec.overlap_s_psi0, rec.overlap_s_psi1
-    s2_sum = spectrum.s2 * n  # sum_{k != 0} E_k^-2
-    checks = []
-    if gamma > gamma_ref:
-        branch = "above"
-        checks.append(_check("ground-energy", abs(e0),
-                             gamma / (n * (gamma - gamma_ref)), slack))
-        checks.append(_check("ground-s-deficit-exact", 1.0 - s0,
-                             e0 * e0 * s2_sum / gamma**2, 1.0))
-        checks.append(_check("ground-s-deficit-closed", 1.0 - s0,
-                             s2_sum / (n * n * (gamma - gamma_ref) ** 2), slack * slack))
-    else:
-        branch = "below"
-        level1 = gamma * spectrum.energies[1]
-        squeeze = 1.0 / (1.0 - e1 / level1) ** 2
-        checks.append(_check("excited-energy", e1,
-                             gamma / (n * (gamma_ref - gamma)), slack))
-        checks.append(_check("excited-s-deficit-exact", 1.0 - s1,
-                             e1 * e1 * s2_sum * squeeze / gamma**2, 1.0))
-        checks.append(_check("excited-s-deficit-closed", 1.0 - s1,
-                             s2_sum / (n * n * (gamma_ref - gamma) ** 2), slack * slack))
-    return BoundReport(graph=graph.label(), gamma=float(gamma), gamma_reference=gamma_ref,
-                       margin=margin, side=branch, checks=checks)
+
+    def checks(gamma_ref: float, slack: float) -> list[BoundCheck]:
+        n = graph.num_vertices
+        spectrum = level_spectrum(graph)
+        rec = _record(n, gamma, *lowest_two(spectrum, gamma))
+        e0, e1, s0, s1 = rec.e0, rec.e1, rec.overlap_s_psi0, rec.overlap_s_psi1
+        s2_sum = spectrum.s2 * n  # sum_{k != 0} E_k^-2
+        if gamma > gamma_ref:
+            return [_check("ground-energy", abs(e0), gamma / (n * (gamma - gamma_ref)), slack),
+                    _check("ground-s-deficit-exact", 1.0 - s0, e0 * e0 * s2_sum / gamma**2, 1.0),
+                    _check("ground-s-deficit-closed", 1.0 - s0,
+                           s2_sum / (n * n * (gamma - gamma_ref) ** 2), slack * slack)]
+        squeeze = 1.0 / (1.0 - e1 / (gamma * spectrum.energies[1])) ** 2
+        return [_check("excited-energy", e1, gamma / (n * (gamma_ref - gamma)), slack),
+                _check("excited-s-deficit-exact", 1.0 - s1,
+                       e1 * e1 * s2_sum * squeeze / gamma**2, 1.0),
+                _check("excited-s-deficit-closed", 1.0 - s1,
+                       s2_sum / (n * n * (gamma_ref - gamma) ** 2), slack * slack)]
+
+    return _bound_report(graph, gamma, checks)
 
 
 def _check(bound_id: str, lhs: float, rhs: float, slack: float) -> BoundCheck:
@@ -275,33 +270,28 @@ def verify_failure_bounds(graph: GraphFamily, gamma: float) -> BoundReport:
     put a floor under |E_0| that caps the amplitude.  max_t |amp| is
     sqrt(p*) from find_optimal_time, the refined peak on [0, 4 sqrt(N)].
     """
-    gamma_ref, margin = _require_clear_of_critical(graph, gamma)
-    d = graph.dim
-    n = graph.num_vertices
-    slack = SLACK_D2 if d == 2 else SLACK_SMALL_TERMS
-    spec, _, p_star = _optimum(level_spectrum(graph), gamma)
-    max_amp = math.sqrt(p_star)
-    e0 = spec.energies[0]
-    sqrt_n = math.sqrt(n)
-    checks = [_check("amp-global", max_amp, 2.0 * sqrt_n * abs(e0), 1.0)]
-    if gamma > gamma_ref:
-        branch = "above"
-        checks.append(_check("amp-above-closed", max_amp,
-                             2.0 * gamma / (sqrt_n * (gamma - gamma_ref)), slack))
-    else:
-        branch = "below"
+
+    def checks(gamma_ref: float, slack: float) -> list[BoundCheck]:
+        d = graph.dim
+        sqrt_n = math.sqrt(graph.num_vertices)
+        spec, _, p_star = _optimum(level_spectrum(graph), gamma)
+        max_amp = math.sqrt(p_star)
+        e0 = spec.energies[0]
+        amp_global = _check("amp-global", max_amp, 2.0 * sqrt_n * abs(e0), 1.0)
+        if gamma > gamma_ref:
+            return [amp_global, _check("amp-above-closed", max_amp,
+                                       2.0 * gamma / (sqrt_n * (gamma - gamma_ref)), slack)]
         if d > 4:
-            i2 = green_integral(2, d)
-            rhs = 2.0 * i2 / (gamma * (gamma_ref - gamma)) / sqrt_n
+            rhs = 2.0 * green_integral(2, d) / (gamma * (gamma_ref - gamma)) / sqrt_n
         elif d == 4:
             rhs = 2.0 / (sqrt_n * _d4_energy_floor(gamma, gamma_ref))
         elif d == 3:
             rhs = 2.0 * math.pi**4 / (1024.0 * gamma * (gamma_ref - gamma) ** 2) / sqrt_n
         else:
             rhs = 8.0 * (abs(e0) + math.pi**2 * gamma) / (math.pi * sqrt_n)
-        checks.append(_check("amp-below-closed", max_amp, rhs, slack))
-    return BoundReport(graph=graph.label(), gamma=float(gamma), gamma_reference=gamma_ref,
-                       margin=margin, side=branch, checks=checks)
+        return [amp_global, _check("amp-below-closed", max_amp, rhs, slack)]
+
+    return _bound_report(graph, gamma, checks)
 
 
 def _optimum(spectrum: LevelSpectrum, gamma: float):

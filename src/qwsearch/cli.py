@@ -43,7 +43,7 @@ from .evolution import (
     find_optimal_time,
     trace,
 )
-from .graphs import GraphFamily, level_spectrum
+from .graphs import GraphFamily, GraphSpecError, level_spectrum, parse_graph_spec
 from .secular import lowest_two, secular_value, solve_spectrum
 
 OUTPUT_DIR_ENV = "QWSEARCH_OUTPUT_DIR"
@@ -64,35 +64,6 @@ VALIDATION_FAMILIES = (
     "complete:256", "hypercube:8", "lattice:2:16",
     "lattice:3:8", "lattice:4:6", "lattice:5:4",
 )
-
-
-class GraphSpecError(ValueError):
-    pass
-
-
-def parse_graph_spec(text: str) -> GraphFamily:
-    """Parse complete:<N> | hypercube:<n> | lattice:<d>:<L>."""
-    parts = text.split(":")
-    kind = parts[0]
-
-    def want_int(part: str, pos: int) -> int:
-        if not part or not (part.isdigit() or (part[0] == "-" and part[1:].isdigit())):
-            raise GraphSpecError(f"expected an integer at position {pos} of {text!r}")
-        return int(part)
-
-    if kind == "complete":
-        if len(parts) != 2:
-            raise GraphSpecError(f"complete takes one field, got {text!r}")
-        return GraphFamily.complete(want_int(parts[1], 1))
-    if kind == "hypercube":
-        if len(parts) != 2:
-            raise GraphSpecError(f"hypercube takes one field, got {text!r}")
-        return GraphFamily.hypercube(want_int(parts[1], 1))
-    if kind == "lattice":
-        if len(parts) != 3:
-            raise GraphSpecError(f"lattice takes two fields, got {text!r}")
-        return GraphFamily.lattice(want_int(parts[1], 1), want_int(parts[2], 2))
-    raise GraphSpecError(f"unknown family {kind!r} at position 0 of {text!r}")
 
 
 @dataclass
@@ -119,6 +90,8 @@ class RunConfig:
 # ---------------------------------------------------------------------------
 
 def _cell_format(kind: type) -> str:
+    if kind is type(None):
+        return "%.0s"       # an empty cell
     if issubclass(kind, (float, np.floating)):
         return "%.17g"
     return "%d" if issubclass(kind, (int, np.integer)) else "%s"
@@ -160,10 +133,12 @@ def write_json(path: str, payload) -> str:
     return path
 
 
-def _write_manifest(cfg: RunConfig, outputs: list[str]) -> str:
+def _write_manifest(cfg: RunConfig, flags: dict, outputs: list[str]) -> str:
+    """The command and the resolved value of every setting its flags (vars(args)) can set."""
+    settable = {*flags, "gamma_lo", "gamma_hi"} if "gamma_range" in flags else flags
     payload = {
         "artifact_version": __version__,
-        "config": asdict(cfg),
+        "config": {k: v for k, v in asdict(cfg).items() if k in settable},
         "outputs": sorted(os.path.basename(p) for p in outputs),
     }
     path = os.path.join(cfg.output_dir, f"{cfg.command}.manifest.json")
@@ -255,14 +230,8 @@ SCAN_HEADER = [f.name for f in fields(ScanRecord)]
 
 
 def _cmd_constants(cfg: RunConfig) -> list[str]:
-    table = build_constant_table()
-    header, rows = _table(ConstantEntry, table)
-    rows = [["" if v is None else v for v in row] for row in rows]
     outputs: list[str] = []
-    outputs.append(write_csv(os.path.join(cfg.output_dir, "constants.csv"), header, rows))
-    if cfg.fmt == "json":
-        payload = [asdict(e) for e in table]
-        outputs.append(write_json(os.path.join(cfg.output_dir, "constants.json"), payload))
+    _emit_table(cfg, "constants", *_table(ConstantEntry, build_constant_table()), outputs)
     return outputs
 
 
@@ -284,16 +253,16 @@ def _cmd_spectrum(cfg: RunConfig) -> list[str]:
     return outputs
 
 
+def _scan_table(cfg: RunConfig, graph: GraphFamily, stem: str, center: float, outputs: list[str]):
+    """A coupling scan on [0.5, 1.5] x center, or on --gamma-range when given."""
+    lo, hi = (0.5 * center, 1.5 * center) if cfg.gamma_lo is None else (cfg.gamma_lo, cfg.gamma_hi)
+    _emit_table(cfg, stem, *_table(ScanRecord, scan_gamma(graph, lo, hi, cfg.points)), outputs)
+
+
 def _cmd_scan(cfg: RunConfig) -> list[str]:
     graph = parse_graph_spec(cfg.graph)
-    if cfg.gamma_lo is None or cfg.gamma_hi is None:
-        center = coupling_scan_center(level_spectrum(graph))
-        lo, hi = 0.5 * center, 1.5 * center
-    else:
-        lo, hi = cfg.gamma_lo, cfg.gamma_hi
-    records = scan_gamma(graph, lo, hi, cfg.points)
     outputs: list[str] = []
-    _emit_table(cfg, "scan", *_table(ScanRecord, records), outputs)
+    _scan_table(cfg, graph, "scan", coupling_scan_center(level_spectrum(graph)), outputs)
     return outputs
 
 
@@ -348,8 +317,7 @@ def _cmd_critical(cfg: RunConfig) -> list[str]:
         payload["gamma_reference"] = ref
         payload["bounds"] = [_bound_payload(r) for r in bound_suites(graph)]
     outputs = [write_json(os.path.join(cfg.output_dir, "critical.json"), payload)]
-    records = scan_gamma(graph, 0.5 * gc, 1.5 * gc, cfg.points)
-    _emit_table(cfg, "critical_scan", *_table(ScanRecord, records), outputs)
+    _scan_table(cfg, graph, "critical_scan", gc, outputs)
     return outputs
 
 
@@ -372,46 +340,46 @@ def _cmd_scaling(cfg: RunConfig) -> list[str]:
 
 
 def _cmd_validate(cfg: RunConfig) -> list[str]:
+    graphs = [parse_graph_spec(label) for label in VALIDATION_FAMILIES]
+    smallest = min(g.num_vertices for g in graphs)
+    if cfg.oracle_cap < smallest:       # before validate.json is written
+        raise ValueError(f"oracle cap {cfg.oracle_cap} admits no validation family; "
+                         f"the smallest has N = {smallest}")
     rng = np.random.default_rng(cfg.seed)
     results = []
     worst = 0.0
-    for label in VALIDATION_FAMILIES:
-        graph = parse_graph_spec(label)
+    for graph in graphs:
         if graph.num_vertices > cfg.oracle_cap:
-            results.append({"graph": label, "skipped": True,
+            results.append({"graph": graph.label(), "skipped": True,
                             "reason": f"N={graph.num_vertices} above oracle cap"})
             continue
         spectrum = level_spectrum(graph)
         center = coupling_scan_center(spectrum)
         horizon = default_time_horizon(graph.num_vertices)
-        max_amp = max_eig = max_w = max_s = 0.0
+        deltas = np.zeros(4)        # amplitude, eigenvalue, w weight, s weight
         for _ in range(10):
             gamma = float(rng.uniform(center / 4.0, 4.0 * center))
             w_index = int(rng.integers(0, graph.num_vertices))
             dense = DenseReference(graph, gamma, w_index, cap=cfg.oracle_cap)
             spec = solve_spectrum(spectrum, gamma)
-            for _ in range(2):
-                t = float(rng.uniform(0.0, horizon))
-                max_amp = max(max_amp, abs(dense.amplitude(t) - amplitude(spec, t)))
-            eig_d, w_d, s_d = _clustered(dense.eigenvalues, dense.w_overlaps_sq(),
-                                         dense.s_overlaps_sq())
-            eig_s, w_s, s_s = _clustered(
+            amp = [abs(dense.amplitude(t) - amplitude(spec, t))
+                   for t in rng.uniform(0.0, horizon, 2)]
+            ref = _clustered(dense.eigenvalues, dense.w_overlaps_sq(), dense.s_overlaps_sq())
+            got = _clustered(
                 np.concatenate([spec.energies, np.repeat(gamma * spectrum.energies,
                                                          spectrum.multiplicities - 1)]),
                 np.concatenate([spec.w_weights, np.zeros(spec.irrelevant_count)]),
                 np.concatenate([spec.s_weights, np.zeros(spec.irrelevant_count)]))
-            if len(eig_d) == len(eig_s):
-                max_eig = max(max_eig, float(np.max(np.abs(eig_d - eig_s))))
-                max_w = max(max_w, float(np.max(np.abs(w_d - w_s))))
-                max_s = max(max_s, float(np.max(np.abs(s_d - s_s))))
-            else:
-                max_eig = math.inf
-        ok = max(max_amp, max_eig, max_w, max_s) < 1e-8
-        worst = max(worst, max_amp, max_eig, max_w, max_s)
-        results.append({"graph": label, "skipped": False, "pairs": 20,
+            levels = np.abs(ref - got).max(axis=1) if ref.shape == got.shape else [np.inf] * 3
+            # np.max and np.maximum keep a NaN, which Python's max(0.0, nan) drops
+            deltas = np.maximum(deltas, np.r_[np.max(amp), levels])
+        family_worst = float(deltas.max())
+        worst = float(np.maximum(worst, family_worst))
+        max_amp, max_eig, max_w, max_s = deltas.tolist()
+        results.append({"graph": graph.label(), "skipped": False, "pairs": 20,
                         "max_amplitude_delta": max_amp, "max_eigenvalue_delta": max_eig,
                         "max_w_weight_delta": max_w, "max_s_weight_delta": max_s,
-                        "pass": ok})
+                        "pass": family_worst < 1e-8})
     payload = {"seed": cfg.seed, "oracle_cap": cfg.oracle_cap,
                "worst_delta": worst, "families": results,
                "all_pass": all(r.get("pass", True) for r in results)}
@@ -422,28 +390,22 @@ def _cmd_validate(cfg: RunConfig) -> list[str]:
 
 
 def _clustered(energies: np.ndarray, w: np.ndarray, s: np.ndarray, tol: float = 1e-7):
-    """Aggregate weights over near-degenerate eigenvalue clusters.
+    """Rows (energy, w weight, s weight) aggregated over near-degenerate eigenvalue clusters.
 
     Dense eigenvectors of a degenerate level mix arbitrarily, so only
     cluster-aggregated overlaps are basis-independent comparands.
     """
     order = np.argsort(energies)
     e, w, s = energies[order], w[order], s[order]
-    boundaries = np.flatnonzero(np.diff(e) > tol) + 1
-    groups = np.split(np.arange(len(e)), boundaries)
-    ce = np.array([e[g].mean() for g in groups])
-    cw = np.array([w[g].sum() for g in groups])
-    cs = np.array([s[g].sum() for g in groups])
-    return ce, cw, cs
+    groups = np.split(np.arange(len(e)), np.flatnonzero(np.diff(e) > tol) + 1)
+    return np.array([[e[g].mean(), w[g].sum(), s[g].sum()] for g in groups]).T
 
 
 def _cmd_figures(cfg: RunConfig) -> list[str]:
     outputs: list[str] = []
     for stem, label in FIGURE_SCANS:
         graph = parse_graph_spec(label)
-        center = coupling_scan_center(level_spectrum(graph))
-        records = scan_gamma(graph, 0.5 * center, 1.5 * center, 101)
-        _emit_table(cfg, stem, *_table(ScanRecord, records), outputs)
+        _scan_table(cfg, graph, stem, coupling_scan_center(level_spectrum(graph)), outputs)
     graph = parse_graph_spec(FIGURE_SECULAR_GRAPH)
     spectrum = level_spectrum(graph)
     poles = 1.0 * spectrum.energies
@@ -557,7 +519,7 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:
         print(_error_json("computation", exc, cfg.graph), file=sys.stderr)
         return 3
-    _write_manifest(cfg, outputs)
+    _write_manifest(cfg, vars(args), outputs)
     for path in outputs:
         print(path)
     return 0

@@ -263,16 +263,12 @@ class ConstantEntry:
 def build_constant_table() -> list[ConstantEntry]:
     """Every analytic constant the experiments rely on, with provenance."""
     entries: list[ConstantEntry] = []
-    for d in range(3, 11):
-        v, e = _green_integral_err(1, d)
-        entries.append(ConstantEntry("I", 1, d, None, None, v, e,
-                                     "scaled-Bessel quadrature + asymptotic tail",
-                                     f"upper limit {QUAD_UPPER:g}"))
-    for d in range(5, 11):
-        v, e = _green_integral_err(2, d)
-        entries.append(ConstantEntry("I", 2, d, None, None, v, e,
-                                     "scaled-Bessel quadrature + asymptotic tail",
-                                     f"upper limit {QUAD_UPPER:g}"))
+    for j in (1, 2):
+        for d in range(2 * j + 1, 11):      # I(j, d) converges for d > 2j
+            v, e = _green_integral_err(j, d)
+            entries.append(ConstantEntry("I", j, d, None, None, v, e,
+                                         "scaled-Bessel quadrature + asymptotic tail",
+                                         f"upper limit {QUAD_UPPER:g}"))
     for d in (1, 2, 3):
         v, e = _epstein_err(2, d)
         entries.append(ConstantEntry("c", 2, d, None, None, v, e,

@@ -14,15 +14,17 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
 
-# Two lattice levels are one when their energies differ by at most this
-# fraction of the bandwidth 4d.  Distinct levels can lie much closer than
-# 1/L^2: at extended precision the smallest gap is 1.3e-7 at lattice:2:256,
-# 4.0e-8 at 2:512 and 2.1e-9 at 2:1024, where 24 pairs of distinct levels merge.
-LEVEL_GROUP_TOL = 1e-9
+# Two lattice levels are one when their energies differ by at most this fraction
+# of the bandwidth 4d.  In units of eps*4d against 30-digit levels, equal levels
+# differ by at most 1.00 in the build's summation order (at lattice:4:100) and 0.8
+# in dispersion_values' order, and distinct ones by at least 2.4e5 (at 2:2048):
+# 16 merges every rounding tie and no two distinct levels.
+LEVEL_GROUP_TOL = 16 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -65,6 +67,28 @@ class GraphFamily:
         if self.kind == "hypercube":
             return f"hypercube:{self.num_bits}"
         return f"lattice:{self.dim}:{self.side}"
+
+
+class GraphSpecError(ValueError):
+    pass
+
+
+# How many integer fields label() writes after each family name, which names the constructor.
+_SPEC_FIELDS = {"complete": 1, "hypercube": 1, "lattice": 2}
+
+
+def parse_graph_spec(text: str) -> GraphFamily:
+    """Parse complete:<N> | hypercube:<n> | lattice:<d>:<L>, the inverse of label()."""
+    kind, *parts = text.split(":")
+    if kind not in _SPEC_FIELDS:
+        raise GraphSpecError(f"unknown family {kind!r} at position 0 of {text!r}")
+    want = _SPEC_FIELDS[kind]
+    if len(parts) != want:
+        raise GraphSpecError(f"{kind} takes {('one field', 'two fields')[want - 1]}, got {text!r}")
+    for pos, part in enumerate(parts, 1):
+        if not re.fullmatch("-?[0-9]+", part):     # ASCII digits only, unlike str.isdigit
+            raise GraphSpecError(f"expected an integer at position {pos} of {text!r}")
+    return getattr(GraphFamily, kind)(*map(int, parts))
 
 
 @dataclass(frozen=True)

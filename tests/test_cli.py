@@ -1,10 +1,15 @@
 import argparse
+import contextlib
+import io
+import itertools
 import json
+import math
 import os
 import re
 import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -80,10 +85,8 @@ def test_scan_command_schema(tmp_path):
     assert gammas[0] == 0.5 and gammas[-1] == 1.5
     manifest = json.loads((tmp_path / "scan.manifest.json").read_text())
     assert manifest["config"] == {
-        "command": "scan", "graph": "lattice:2:4", "gamma": None,
-        "gamma_lo": 0.5, "gamma_hi": 1.5, "points": 7, "time_max": None,
-        "time_points": 512, "dim": None, "sides": None, "output_dir": str(tmp_path),
-        "fmt": "csv", "plot": "none", "seed": 0, "oracle_cap": 4096}
+        "command": "scan", "graph": "lattice:2:4", "gamma_lo": 0.5, "gamma_hi": 1.5,
+        "points": 7, "output_dir": str(tmp_path), "fmt": "csv", "plot": "none"}
 
 
 def test_scan_command_builds_levels_once(tmp_path):
@@ -137,10 +140,8 @@ def test_scaling_command_critical(tmp_path):
     assert [r[0] for r in rows] == ["1024"]
     manifest = json.loads((tmp_path / "scaling.manifest.json").read_text())
     assert manifest["config"] == {
-        "command": "scaling", "graph": None, "gamma": None,
-        "gamma_lo": None, "gamma_hi": None, "points": 101, "time_max": None,
-        "time_points": 512, "dim": 5, "sides": [4], "output_dir": str(tmp_path),
-        "fmt": "csv", "plot": "none", "seed": 0, "oracle_cap": 4096}
+        "command": "scaling", "dim": 5, "sides": [4], "output_dir": str(tmp_path),
+        "fmt": "csv", "plot": "none"}
 
 
 def test_critical_command(tmp_path):
@@ -188,6 +189,35 @@ def test_validate_command(tmp_path):
     skipped = [f for f in report["families"] if f["skipped"]]
     assert len(ran) >= 2 and len(skipped) >= 1
     assert report["worst_delta"] < 1e-8
+
+
+def test_validate_fails_on_nan(tmp_path, capsys, monkeypatch):
+    # Python's max(0.0, nan) is 0.0; a NaN delta must still fail the family
+    calls = itertools.count()
+    exact = qwsearch.cli.amplitude
+    monkeypatch.setattr(qwsearch.cli, "amplitude",
+                        lambda spec, t: math.nan if next(calls) % 2 else exact(spec, t))
+    rc = main(["validate", "--oracle-cap", "300", "--seed", "7",
+               "--output-dir", str(tmp_path)])
+    assert rc == 3
+    assert json.loads(capsys.readouterr().err)["error"]["type"] == "computation"
+    report = json.loads((tmp_path / "validate.json").read_text())
+    assert report["all_pass"] is False and math.isnan(report["worst_delta"])
+    ran = [f for f in report["families"] if not f["skipped"]]
+    assert ran and all(f["pass"] is False for f in ran)
+
+
+def test_validate_cap_must_admit_a_family(tmp_path, capsys):
+    # 256 is the smallest validation family's N
+    rc = main(["validate", "--oracle-cap", "255", "--output-dir", str(tmp_path / "none")])
+    assert rc == 2
+    assert json.loads(capsys.readouterr().err)["error"]["type"] == "config"
+    assert not (tmp_path / "none").exists()
+    rc = main(["validate", "--oracle-cap", "256", "--output-dir", str(tmp_path / "three")])
+    assert rc == 0
+    report = json.loads((tmp_path / "three" / "validate.json").read_text())
+    assert [f["graph"] for f in report["families"] if not f["skipped"]] == [
+        "complete:256", "hypercube:8", "lattice:2:16"]
 
 
 def test_figures_command(tmp_path):
@@ -258,6 +288,64 @@ def test_unread_flags_are_usage_errors(tmp_path, capsys, args):
     assert os.listdir(tmp_path) == []
 
 
+# One small run of every command; validate checks the three N = 256 families.
+SMALL_RUNS = {
+    "constants": ["--format", "json"],
+    "spectrum": ["--graph", "lattice:2:8", "--gamma", "0.3", "--format", "json",
+                 "--plot", "svg"],
+    "scan": ["--graph", "complete:64", "--gamma-range", "0.01:0.03", "--points", "5",
+             "--plot", "gnuplot"],
+    "evolve": ["--graph", "lattice:3:6", "--gamma", "0.2", "--points", "33", "--plot", "svg"],
+    "critical": ["--graph", "lattice:3:6", "--points", "11", "--format", "json"],
+    "scaling": ["--dim", "3", "--sides", "6,8", "--plot", "svg"],
+    "validate": ["--oracle-cap", "300", "--seed", "7"],
+    "figures": ["--format", "json", "--plot", "svg"],
+}
+# The settings each command's manifest records: those its flags can set.
+MANIFEST_KEYS = {
+    "constants": {"fmt"},
+    "spectrum": {"fmt", "plot", "graph", "gamma"},
+    "scan": {"fmt", "plot", "graph", "gamma_lo", "gamma_hi", "points"},
+    "evolve": {"fmt", "plot", "graph", "gamma", "time_max", "time_points"},
+    "critical": {"fmt", "plot", "graph", "points"},
+    "scaling": {"fmt", "plot", "dim", "sides"},
+    "validate": {"seed", "oracle_cap"},
+    "figures": {"fmt", "plot"},
+}
+
+
+@pytest.fixture(scope="module")
+def small_runs(tmp_path_factory):
+    """Every file of each small run, run twice from a relative output directory."""
+    runs = []
+    for _ in range(2):
+        with contextlib.chdir(tmp_path_factory.mktemp("run")):
+            with contextlib.redirect_stdout(io.StringIO()):
+                for command, args in SMALL_RUNS.items():
+                    assert main([command, *args, "--output-dir", command]) == 0, command
+            runs.append({command: {name: (Path(command) / name).read_bytes()
+                                   for name in sorted(os.listdir(command))}
+                         for command in SMALL_RUNS})
+    return runs
+
+
+def test_every_command_is_byte_reproducible(small_runs):
+    first, second = small_runs
+    assert set(first) == set(COMMAND_FLAGS)
+    for command in SMALL_RUNS:
+        assert len(first[command]) >= 2, command
+        assert first[command] == second[command], command
+
+
+def test_manifest_records_only_settable_fields(small_runs):
+    for command, files in small_runs[0].items():
+        manifest = json.loads(files[f"{command}.manifest.json"])
+        config = manifest["config"]
+        assert set(config) == {"command", "output_dir", *MANIFEST_KEYS[command]}, command
+        assert (config["command"], config["output_dir"]) == (command, command)
+        assert manifest["outputs"] == sorted(set(files) - {f"{command}.manifest.json"})
+
+
 def test_readme_examples_parse():
     readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                           "README.md")
@@ -267,6 +355,18 @@ def test_readme_examples_parse():
     assert len(lines) >= 8 and all(words[0] == "qwsearch" for words in lines)
     parser = _build_parser()
     assert {parser.parse_args(words[1:]).command for words in lines} == set(COMMAND_FLAGS)
+
+
+@pytest.mark.parametrize("label", ["complete:\u00b2", "complete:\u0663",
+                                   "lattice:\uff12:\uff14"])
+def test_graph_spec_takes_ascii_digits_only(tmp_path, capsys, label):
+    # str.isdigit accepts a superscript two, an Arabic-Indic three and full-width digits
+    rc = main(["spectrum", "--graph", label, "--gamma", "1", "--output-dir", str(tmp_path)])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert (err["type"], err["class"]) == ("config", "GraphSpecError")
+    assert "expected an integer at position 1" in err["message"]
+    assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.parametrize("label", ["hypercube:63", "lattice:32:4", "lattice:21:8",
@@ -361,6 +461,14 @@ def test_write_csv_cell_bytes(tmp_path):
             "4,-2.5,-0,4611686018427387904,inf\n"
             "100000000000000000000,-inf,-0,0.10000000149011612,lattice:2:4\n"
             "1,4.9406564584124654e-324,2,1.0000000000000001e+300,200\n")
+
+
+def test_write_csv_none_is_an_empty_cell(tmp_path):
+    # the constant table leaves j, size and a empty where they do not apply
+    rows = [[None, 1, None], ["I", None, 0.5]]
+    path = write_csv(str(tmp_path / "none.csv"), ["a", "b", "c"], rows)
+    with open(path) as fh:
+        assert fh.read() == "a,b,c\n,1,\nI,,0.5\n"
 
 
 def test_json_mirror(tmp_path):

@@ -19,7 +19,7 @@ from _shared import (
 )
 
 from qwsearch import GraphFamily, level_spectrum, neg_laplacian
-from qwsearch.graphs import LEVEL_GROUP_TOL
+from qwsearch.graphs import LEVEL_GROUP_TOL, parse_graph_spec
 
 
 def test_dispersion_zero_mode():
@@ -165,7 +165,8 @@ def _distinct_levels(dim, side, dps=30):
         return sums[:1] + [b for a, b in zip(sums, sums[1:]) if b - a > tie]
 
 
-@pytest.mark.parametrize("dim,side", [(2, 512), (3, 64), (4, 32), (5, 16), (6, 8)])
+@pytest.mark.parametrize("dim,side", [(2, 512), (3, 64), (4, 32), (5, 16), (6, 8),
+                                      (2, 1024), (1, 99346)])
 def test_level_count_matches_extended_precision(dim, side):
     exact = _distinct_levels(dim, side)
     ls = level_spectrum(GraphFamily.lattice(dim, side))
@@ -236,3 +237,13 @@ def test_spectrum_is_immutable():
             ls.energies[0] = 5.0
         with pytest.raises(ValueError):
             ls.multiplicities[-1] = 2
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.one_of(
+    st.integers(2, 2**63 - 1).map(GraphFamily.complete),
+    st.integers(1, 62).map(GraphFamily.hypercube),
+    st.tuples(st.integers(1, 6), st.integers(2, 1000)).map(lambda t: GraphFamily.lattice(*t)),
+))
+def test_graph_spec_round_trip(graph):
+    assert parse_graph_spec(graph.label()) == graph
