@@ -71,8 +71,7 @@ class RunConfig:
     command: str
     graph: str | None = None
     gamma: float | None = None
-    gamma_lo: float | None = None
-    gamma_hi: float | None = None
+    gamma_range: tuple[float, float] | None = None
     points: int = 101
     time_max: float | None = None
     time_points: int = 512
@@ -102,7 +101,11 @@ def _atomic_write(path: str, data: str):
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
     try:
+        umask = os.umask(0)
+        os.umask(umask)
         with os.fdopen(fd, "w") as fh:
+            # mkstemp creates the file 0600; give it the mode open(path, "w") would
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
             fh.write(data)
         os.replace(tmp, path)
     except BaseException:
@@ -111,7 +114,7 @@ def _atomic_write(path: str, data: str):
         raise
 
 
-def write_csv(path: str, header: list[str], rows: list[list]) -> str:
+def _csv_text(header: list[str], rows: list[list]) -> str:
     # Floats print with 17 significant digits and integers in full; rows of the
     # same cell types share one format, applied to the whole row at once.
     formats = {}
@@ -124,25 +127,16 @@ def write_csv(path: str, header: list[str], rows: list[list]) -> str:
         if kinds not in formats:
             formats[kinds] = ",".join(map(_cell_format, kinds))
         lines.append(formats[kinds] % cells)
-    _atomic_write(path, "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
+
+
+def write_csv(path: str, header: list[str], rows: list[list]) -> str:
+    _atomic_write(path, _csv_text(header, rows))
     return path
 
 
-def write_json(path: str, payload) -> str:
-    _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path
-
-
-def _write_manifest(cfg: RunConfig, flags: dict, outputs: list[str]) -> str:
-    """The command and the resolved value of every setting its flags (vars(args)) can set."""
-    settable = {*flags, "gamma_lo", "gamma_hi"} if "gamma_range" in flags else flags
-    payload = {
-        "artifact_version": __version__,
-        "config": {k: v for k, v in asdict(cfg).items() if k in settable},
-        "outputs": sorted(os.path.basename(p) for p in outputs),
-    }
-    path = os.path.join(cfg.output_dir, f"{cfg.command}.manifest.json")
-    return write_json(path, payload)
+def _json_text(payload) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def _table(cls, records) -> tuple[list[str], list[tuple]]:
@@ -150,25 +144,25 @@ def _table(cls, records) -> tuple[list[str], list[tuple]]:
     return [f.name for f in fields(cls)], [astuple(r) for r in records]
 
 
-def _emit_table(cfg: RunConfig, stem: str, header: list[str], rows: list[list],
-                outputs: list[str]):
-    outputs.append(write_csv(os.path.join(cfg.output_dir, f"{stem}.csv"), header, rows))
+def _emit_table(cfg: RunConfig, stem: str, header: list[str], rows: list[list]):
+    """The table's files as (name, text): the CSV, its JSON mirror and its plots."""
+    yield f"{stem}.csv", _csv_text(header, rows)
     if cfg.fmt == "json":
         payload = [dict(zip(header, [float(v) if isinstance(v, (float, np.floating))
                                      else v for v in row])) for row in rows]
-        outputs.append(write_json(os.path.join(cfg.output_dir, f"{stem}.json"), payload))
+        yield f"{stem}.json", _json_text(payload)
     if cfg.plot == "gnuplot" or cfg.command == "figures":
-        outputs.append(_write_gnuplot(cfg, stem, header))
+        yield f"{stem}.gp", _gnuplot_text(stem, header)
     if cfg.plot == "svg":
-        outputs.append(_write_svg(cfg, stem, header, rows))
+        yield f"{stem}.svg", _svg_text(header, rows)
 
 
-def _write_gnuplot(cfg: RunConfig, stem: str, header: list[str]) -> str:
+def _gnuplot_text(stem: str, header: list[str]) -> str:
     cols = ", \\\n".join(
         f"    '{stem}.csv' using 1:{i + 2} with lines title '{name}'"
         for i, name in enumerate(header[1:])
     )
-    script = (
+    return (
         "set datafile separator comma\n"
         "set key autotitle columnhead\n"
         "set key outside\n"
@@ -177,12 +171,9 @@ def _write_gnuplot(cfg: RunConfig, stem: str, header: list[str]) -> str:
         f"set xlabel '{header[0]}'\n"
         f"plot \\\n{cols}\n"
     )
-    path = os.path.join(cfg.output_dir, f"{stem}.gp")
-    _atomic_write(path, script)
-    return path
 
 
-def _write_svg(cfg: RunConfig, stem: str, header: list[str], rows: list[list]) -> str:
+def _svg_text(header: list[str], rows: list[list]) -> str:
     """Minimal dependency-free polyline chart rendered from the CSV rows."""
     width, height, pad = 900, 600, 60
     xs = [float(r[0]) for r in rows]
@@ -217,9 +208,7 @@ def _write_svg(cfg: RunConfig, stem: str, header: list[str], rows: list[list]) -
         parts.append(f'<text x="{width - pad + 5}" y="{pad + 16 * k}" font-size="12" '
                      f'fill="{color}">{header[k + 1]}</text>')
     parts.append("</svg>")
-    path = os.path.join(cfg.output_dir, f"{stem}.svg")
-    _atomic_write(path, "\n".join(parts) + "\n")
-    return path
+    return "\n".join(parts) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -229,58 +218,50 @@ def _write_svg(cfg: RunConfig, stem: str, header: list[str], rows: list[list]) -
 SCAN_HEADER = [f.name for f in fields(ScanRecord)]
 
 
-def _cmd_constants(cfg: RunConfig) -> list[str]:
-    outputs: list[str] = []
-    _emit_table(cfg, "constants", *_table(ConstantEntry, build_constant_table()), outputs)
-    return outputs
+def _cmd_constants(cfg: RunConfig):
+    yield from _emit_table(cfg, "constants", *_table(ConstantEntry, build_constant_table()))
 
 
-def _cmd_spectrum(cfg: RunConfig) -> list[str]:
+def _cmd_spectrum(cfg: RunConfig):
     graph = parse_graph_spec(cfg.graph)
     spec = solve_spectrum(level_spectrum(graph), cfg.gamma)
     header = ["index", "energy", "fprime", "w_weight", "s_weight"]
     rows = [[i, spec.energies[i], spec.fprimes[i], spec.w_weights[i], spec.s_weights[i]]
             for i in range(spec.num_roots)]
-    outputs: list[str] = []
-    _emit_table(cfg, "spectrum", header, rows, outputs)
-    outputs.append(write_json(os.path.join(cfg.output_dir, "spectrum_summary.json"), {
+    yield from _emit_table(cfg, "spectrum", header, rows)
+    yield "spectrum_summary.json", _json_text({
         "graph": graph.label(),
         "gamma": cfg.gamma,
         "num_roots": spec.num_roots,
         "irrelevant_count": spec.irrelevant_count,
         "sum_rule": spec.sum_rule(),
-    }))
-    return outputs
+    })
 
 
-def _scan_table(cfg: RunConfig, graph: GraphFamily, stem: str, center: float, outputs: list[str]):
+def _scan_table(cfg: RunConfig, graph: GraphFamily, stem: str, center: float):
     """A coupling scan on [0.5, 1.5] x center, or on --gamma-range when given."""
-    lo, hi = (0.5 * center, 1.5 * center) if cfg.gamma_lo is None else (cfg.gamma_lo, cfg.gamma_hi)
-    _emit_table(cfg, stem, *_table(ScanRecord, scan_gamma(graph, lo, hi, cfg.points)), outputs)
+    lo, hi = cfg.gamma_range or (0.5 * center, 1.5 * center)
+    yield from _emit_table(cfg, stem, *_table(ScanRecord, scan_gamma(graph, lo, hi, cfg.points)))
 
 
-def _cmd_scan(cfg: RunConfig) -> list[str]:
+def _cmd_scan(cfg: RunConfig):
     graph = parse_graph_spec(cfg.graph)
-    outputs: list[str] = []
-    _scan_table(cfg, graph, "scan", coupling_scan_center(level_spectrum(graph)), outputs)
-    return outputs
+    yield from _scan_table(cfg, graph, "scan", coupling_scan_center(level_spectrum(graph)))
 
 
-def _cmd_evolve(cfg: RunConfig) -> list[str]:
+def _cmd_evolve(cfg: RunConfig):
     graph = parse_graph_spec(cfg.graph)
     spec = solve_spectrum(level_spectrum(graph), cfg.gamma)
     t_max = cfg.time_max if cfg.time_max is not None else default_time_horizon(graph.num_vertices)
     tr = trace(spec, t_max, cfg.time_points)
     header = ["time", "amplitude_re", "amplitude_im", "probability"]
     rows = [[t, a.real, a.imag, p] for t, a, p in zip(tr.times, tr.amplitudes, tr.probabilities)]
-    outputs: list[str] = []
-    _emit_table(cfg, "evolve", header, rows, outputs)
+    yield from _emit_table(cfg, "evolve", header, rows)
     t_star, p_star = find_optimal_time(spec, t_max)
-    outputs.append(write_json(os.path.join(cfg.output_dir, "evolve_summary.json"), {
+    yield "evolve_summary.json", _json_text({
         "graph": graph.label(), "gamma": cfg.gamma, "t_max": t_max,
         "t_star": t_star, "p_star": p_star,
-    }))
-    return outputs
+    })
 
 
 def _checks_payload(checks) -> list[dict]:
@@ -294,7 +275,7 @@ def _bound_payload(report) -> dict:
             "all_pass": report.all_pass()}
 
 
-def _cmd_critical(cfg: RunConfig) -> list[str]:
+def _cmd_critical(cfg: RunConfig):
     if cfg.points < 2:      # before critical.json is written
         raise ValueError(f"need at least 2 scan points, got {cfg.points}")
     graph = parse_graph_spec(cfg.graph)
@@ -316,30 +297,27 @@ def _cmd_critical(cfg: RunConfig) -> list[str]:
     if bounded:
         payload["gamma_reference"] = ref
         payload["bounds"] = [_bound_payload(r) for r in bound_suites(graph)]
-    outputs = [write_json(os.path.join(cfg.output_dir, "critical.json"), payload)]
-    _scan_table(cfg, graph, "critical_scan", gc, outputs)
-    return outputs
+    yield "critical.json", _json_text(payload)
+    yield from _scan_table(cfg, graph, "critical_scan", gc)
 
 
-def _cmd_scaling(cfg: RunConfig) -> list[str]:
+def _cmd_scaling(cfg: RunConfig):
     d = cfg.dim
     sides = list(cfg.sides)
-    outputs: list[str] = []
     if d >= 4:
-        _emit_table(cfg, "scaling_predictions",
-                    *_table(PredictionRecord, critical_predictions(d, sides)), outputs)
+        yield from _emit_table(cfg, "scaling_predictions",
+                               *_table(PredictionRecord, critical_predictions(d, sides)))
     else:
         report = subcritical_scaling(d, sides)
-        _emit_table(cfg, "scaling_records", *_table(ScalingRecord, report.records), outputs)
-        outputs.append(write_json(os.path.join(cfg.output_dir, "scaling_report.json"), {
+        yield from _emit_table(cfg, "scaling_records", *_table(ScalingRecord, report.records))
+        yield "scaling_report.json", _json_text({
             "dim": report.dim,
             "x0_at_zero": report.x0_at_zero,
             "checks": _checks_payload(report.checks),
-        }))
-    return outputs
+        })
 
 
-def _cmd_validate(cfg: RunConfig) -> list[str]:
+def _cmd_validate(cfg: RunConfig):
     graphs = [parse_graph_spec(label) for label in VALIDATION_FAMILIES]
     smallest = min(g.num_vertices for g in graphs)
     if cfg.oracle_cap < smallest:       # before validate.json is written
@@ -383,10 +361,9 @@ def _cmd_validate(cfg: RunConfig) -> list[str]:
     payload = {"seed": cfg.seed, "oracle_cap": cfg.oracle_cap,
                "worst_delta": worst, "families": results,
                "all_pass": all(r.get("pass", True) for r in results)}
-    path = write_json(os.path.join(cfg.output_dir, "validate.json"), payload)
+    yield "validate.json", _json_text(payload)
     if not payload["all_pass"]:
-        raise RuntimeError(f"oracle validation failed; see {path}")
-    return [path]
+        raise RuntimeError(f"oracle validation failed; see validate.json in {cfg.output_dir}")
 
 
 def _clustered(energies: np.ndarray, w: np.ndarray, s: np.ndarray, tol: float = 1e-7):
@@ -401,11 +378,10 @@ def _clustered(energies: np.ndarray, w: np.ndarray, s: np.ndarray, tol: float = 
     return np.array([[e[g].mean(), w[g].sum(), s[g].sum()] for g in groups]).T
 
 
-def _cmd_figures(cfg: RunConfig) -> list[str]:
-    outputs: list[str] = []
+def _cmd_figures(cfg: RunConfig):
     for stem, label in FIGURE_SCANS:
         graph = parse_graph_spec(label)
-        _scan_table(cfg, graph, stem, coupling_scan_center(level_spectrum(graph)), outputs)
+        yield from _scan_table(cfg, graph, stem, coupling_scan_center(level_spectrum(graph)))
     graph = parse_graph_spec(FIGURE_SECULAR_GRAPH)
     spectrum = level_spectrum(graph)
     poles = 1.0 * spectrum.energies
@@ -414,16 +390,31 @@ def _cmd_figures(cfg: RunConfig) -> list[str]:
         if np.min(np.abs(poles - e)) < 0.01:
             continue
         rows.append([float(e), secular_value(spectrum, 1.0, float(e))])
-    _emit_table(cfg, "fig4_secular_2_4", ["energy", "secular_value"], rows, outputs)
+    yield from _emit_table(cfg, "fig4_secular_2_4", ["energy", "secular_value"], rows)
     pole_rows = [[float(p), int(m)] for p, m in zip(poles, spectrum.multiplicities)]
-    outputs.append(write_csv(os.path.join(cfg.output_dir, "fig4_poles_2_4.csv"),
-                             ["pole_energy", "multiplicity"], pole_rows))
-    return outputs
+    yield "fig4_poles_2_4.csv", _csv_text(["pole_energy", "multiplicity"], pole_rows)
 
 
 # ---------------------------------------------------------------------------
 # Entry point
 # ---------------------------------------------------------------------------
+
+def _numbers(kind: type, sep: str | None = None, count: int | None = None):
+    """An argparse type reading one `kind` value, or with `sep` a tuple of `count` (any
+    number when None), from ASCII text only: int() and float() take any Unicode digit."""
+    def read(text: str):
+        parts = text.split(sep) if sep else [text]
+        try:
+            if not text.isascii() or len(parts) != (count or len(parts)):
+                raise ValueError
+            values = tuple(map(kind, parts))
+        except ValueError:
+            what = (f"{count or 'one or more'} {kind.__name__}s joined by {sep!r}"
+                    if sep else f"one {kind.__name__}")
+            raise argparse.ArgumentTypeError(f"expected {what} in ASCII, got {text!r}") from None
+        return values if sep else values[0]
+    return read
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -444,44 +435,29 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--graph", required=True,
                            help="complete:<N> | hypercube:<n> | lattice:<d>:<L>")
         if gamma:
-            p.add_argument("--gamma", type=float, required=True)
+            p.add_argument("--gamma", type=_numbers(float), required=True)
         return p
 
     command("constants", "emit the analytic constant table", plot=False)
     command("spectrum", "solve one rank-one spectrum", graph=True, gamma=True)
     p = command("scan", "gap and overlaps over a coupling window", graph=True)
-    p.add_argument("--gamma-range", help="LO:HI, defaults to 0.5x..1.5x the scan center")
-    p.add_argument("--points", type=int)
+    p.add_argument("--gamma-range", type=_numbers(float, ":", 2),
+                   help="LO:HI, defaults to 0.5x..1.5x the scan center")
+    p.add_argument("--points", type=_numbers(int))
     p = command("evolve", "success amplitude over time", graph=True, gamma=True)
-    p.add_argument("--time-max", type=float)
-    p.add_argument("--points", type=int, dest="time_points")
+    p.add_argument("--time-max", type=_numbers(float))
+    p.add_argument("--points", type=_numbers(int), dest="time_points")
     p = command("critical", "locate the critical coupling; lattice bound suites", graph=True)
-    p.add_argument("--points", type=int)
+    p.add_argument("--points", type=_numbers(int))
     p = command("scaling", "N-scaling study at the measured critical coupling")
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--sides", required=True, help="comma-separated side lengths")
+    p.add_argument("--dim", type=_numbers(int), required=True)
+    p.add_argument("--sides", type=_numbers(int, ","), required=True,
+                   help="comma-separated side lengths")
     p = command("validate", "spectral path against the dense oracle", table=False, plot=False)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--oracle-cap", type=int)
+    p.add_argument("--seed", type=_numbers(int))
+    p.add_argument("--oracle-cap", type=_numbers(int))
     command("figures", "emit the standard figure datasets and plot scripts")
     return parser
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    given = {k: v for k, v in vars(args).items() if v is not None}
-    cfg = RunConfig(**{f.name: given[f.name] for f in fields(RunConfig) if f.name in given})
-    if given.get("gamma_range"):
-        lo, _, hi = args.gamma_range.partition(":")
-        try:
-            cfg.gamma_lo, cfg.gamma_hi = float(lo), float(hi)
-        except ValueError as exc:
-            raise GraphSpecError(f"bad --gamma-range {args.gamma_range!r}") from exc
-    if cfg.sides is not None:
-        try:
-            cfg.sides = tuple(int(s) for s in args.sides.split(","))
-        except ValueError as exc:
-            raise GraphSpecError(f"bad --sides {args.sides!r}") from exc
-    return cfg
 
 
 _HANDLERS = {
@@ -504,23 +480,26 @@ def _error_json(kind: str, exc: BaseException, graph: str | None = None) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    flags = vars(_build_parser().parse_args(argv))
+    cfg = RunConfig(**{k: v for k, v in flags.items() if v is not None})
+    paths: list[str] = []
     try:
-        cfg = _config_from_args(args)
-    except ValueError as exc:
-        print(_error_json("config", exc), file=sys.stderr)
-        return 2
-    try:
-        outputs = _HANDLERS[cfg.command](cfg)
+        for name, text in _HANDLERS[cfg.command](cfg):
+            paths.append(os.path.join(cfg.output_dir, name))
+            _atomic_write(paths[-1], text)
     except ValueError as exc:
         print(_error_json("config", exc, cfg.graph), file=sys.stderr)
         return 2
     except Exception as exc:
         print(_error_json("computation", exc, cfg.graph), file=sys.stderr)
         return 3
-    _write_manifest(cfg, vars(args), outputs)
-    for path in outputs:
+    _atomic_write(os.path.join(cfg.output_dir, f"{cfg.command}.manifest.json"), _json_text({
+        "artifact_version": __version__,
+        # the command and the resolved value of every setting its flags can set
+        "config": {k: v for k, v in asdict(cfg).items() if k in flags},
+        "outputs": sorted(os.path.basename(p) for p in paths),
+    }))
+    for path in paths:
         print(path)
     return 0
 

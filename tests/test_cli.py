@@ -7,6 +7,7 @@ import math
 import os
 import re
 import shlex
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -17,8 +18,10 @@ import pytest
 import qwsearch.secular
 from qwsearch import level_spectrum
 from qwsearch.cli import (
+    _HANDLERS,
     SCAN_HEADER,
     GraphSpecError,
+    RunConfig,
     _build_parser,
     main,
     parse_graph_spec,
@@ -85,7 +88,7 @@ def test_scan_command_schema(tmp_path):
     assert gammas[0] == 0.5 and gammas[-1] == 1.5
     manifest = json.loads((tmp_path / "scan.manifest.json").read_text())
     assert manifest["config"] == {
-        "command": "scan", "graph": "lattice:2:4", "gamma_lo": 0.5, "gamma_hi": 1.5,
+        "command": "scan", "graph": "lattice:2:4", "gamma_range": [0.5, 1.5],
         "points": 7, "output_dir": str(tmp_path), "fmt": "csv", "plot": "none"}
 
 
@@ -305,7 +308,7 @@ SMALL_RUNS = {
 MANIFEST_KEYS = {
     "constants": {"fmt"},
     "spectrum": {"fmt", "plot", "graph", "gamma"},
-    "scan": {"fmt", "plot", "graph", "gamma_lo", "gamma_hi", "points"},
+    "scan": {"fmt", "plot", "graph", "gamma_range", "points"},
     "evolve": {"fmt", "plot", "graph", "gamma", "time_max", "time_points"},
     "critical": {"fmt", "plot", "graph", "points"},
     "scaling": {"fmt", "plot", "dim", "sides"},
@@ -319,7 +322,8 @@ def small_runs(tmp_path_factory):
     """Every file of each small run, run twice from a relative output directory."""
     runs = []
     for _ in range(2):
-        with contextlib.chdir(tmp_path_factory.mktemp("run")):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.chdir(tmp_path_factory.mktemp("run"))
             with contextlib.redirect_stdout(io.StringIO()):
                 for command, args in SMALL_RUNS.items():
                     assert main([command, *args, "--output-dir", command]) == 0, command
@@ -344,6 +348,54 @@ def test_manifest_records_only_settable_fields(small_runs):
         assert set(config) == {"command", "output_dir", *MANIFEST_KEYS[command]}, command
         assert (config["command"], config["output_dir"]) == (command, command)
         assert manifest["outputs"] == sorted(set(files) - {f"{command}.manifest.json"})
+
+
+def test_handlers_write_nothing(tmp_path):
+    # a handler yields (file name, text); main alone joins the output directory and writes
+    for command, args in SMALL_RUNS.items():
+        flags = vars(_build_parser().parse_args([command, *args, "--output-dir", str(tmp_path)]))
+        cfg = RunConfig(**{k: v for k, v in flags.items() if v is not None})
+        names = [name for name, _ in _HANDLERS[command](cfg)]
+        assert names and all(os.path.basename(name) == name for name in names), command
+        assert os.listdir(tmp_path) == [], command
+
+
+@pytest.mark.parametrize("args, flag", [
+    (["scaling", "--dim", "3", "--sides", "\uff16"], "--sides"),       # full-width six
+    (["scaling", "--dim", "3", "--sides", "4,,6"], "--sides"),
+    (["scaling", "--dim", "\uff13", "--sides", "6"], "--dim"),
+    (["scan", "--graph", "complete:16", "--points", "\uff15"], "--points"),
+    (["scan", "--graph", "complete:16", "--gamma-range", "x:1"], "--gamma-range"),
+    (["scan", "--graph", "complete:16", "--gamma-range", ""], "--gamma-range"),
+    (["scan", "--graph", "complete:16", "--gamma-range", "1:2:3"], "--gamma-range"),
+    (["spectrum", "--graph", "complete:16", "--gamma", "\uff10.\uff11"], "--gamma"),
+    (["evolve", "--graph", "complete:16", "--gamma", "0.1", "--time-max", "\u0663"],
+     "--time-max"),                                                   # Arabic-Indic three
+    (["validate", "--seed", "\u0667"], "--seed"),
+])
+def test_malformed_flag_values_are_usage_errors(tmp_path, capsys, args, flag):
+    # int() and float() read any Unicode decimal digit; flag values are read from ASCII
+    with pytest.raises(SystemExit) as exc:
+        main([*args, "--output-dir", str(tmp_path)])
+    assert exc.value.code == 2
+    assert f"argument {flag}: expected" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_artifacts_follow_the_umask(tmp_path, umask, mode):
+    # mkstemp creates its files 0600; each artifact gets the mode open(path, "w") would
+    old = os.umask(umask)
+    try:
+        rc = main(["spectrum", "--graph", "complete:16", "--gamma", "0.0625",
+                   "--output-dir", str(tmp_path)])
+    finally:
+        os.umask(old)
+    assert rc == 0
+    names = sorted(os.listdir(tmp_path))
+    assert names == ["spectrum.csv", "spectrum.manifest.json", "spectrum_summary.json"]
+    for name in names:
+        assert stat.S_IMODE((tmp_path / name).stat().st_mode) == mode, name
 
 
 def test_readme_examples_parse():
