@@ -64,6 +64,9 @@ VALIDATION_FAMILIES = (
     "complete:256", "hypercube:8", "lattice:2:16",
     "lattice:3:8", "lattice:4:6", "lattice:5:4",
 )
+# Most grid points `--points` may ask of scan, critical and evolve: a scan
+# CSV of 10^6 rows is about 180 MB.
+_MAX_POINTS = 10**6
 
 
 @dataclass
@@ -244,12 +247,20 @@ def _scan_table(cfg: RunConfig, graph: GraphFamily, stem: str, center: float):
     yield from _emit_table(cfg, stem, *_table(ScanRecord, scan_gamma(graph, lo, hi, cfg.points)))
 
 
+def _check_points(points: int):
+    """Reject a --points above _MAX_POINTS, before the handler writes a file."""
+    if points > _MAX_POINTS:
+        raise ValueError(f"--points must be at most {_MAX_POINTS}, got {points}")
+
+
 def _cmd_scan(cfg: RunConfig):
+    _check_points(cfg.points)
     graph = parse_graph_spec(cfg.graph)
     yield from _scan_table(cfg, graph, "scan", coupling_scan_center(level_spectrum(graph)))
 
 
 def _cmd_evolve(cfg: RunConfig):
+    _check_points(cfg.time_points)
     graph = parse_graph_spec(cfg.graph)
     spec = solve_spectrum(level_spectrum(graph), cfg.gamma)
     t_max = cfg.time_max if cfg.time_max is not None else default_time_horizon(graph.num_vertices)
@@ -278,6 +289,7 @@ def _bound_payload(report) -> dict:
 def _cmd_critical(cfg: RunConfig):
     if cfg.points < 2:      # before critical.json is written
         raise ValueError(f"need at least 2 scan points, got {cfg.points}")
+    _check_points(cfg.points)
     graph = parse_graph_spec(cfg.graph)
     bounded = graph.kind == "lattice" and graph.dim >= 2
     # First: at d = 2 the reference fits other lattices' levels, which would
@@ -318,6 +330,8 @@ def _cmd_scaling(cfg: RunConfig):
 
 
 def _cmd_validate(cfg: RunConfig):
+    if cfg.seed < 0:        # before validate.json is written; numpy's message names no flag
+        raise ValueError(f"--seed must be non-negative, got {cfg.seed}")
     graphs = [parse_graph_spec(label) for label in VALIDATION_FAMILIES]
     smallest = min(g.num_vertices for g in graphs)
     if cfg.oracle_cap < smallest:       # before validate.json is written

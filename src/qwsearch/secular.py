@@ -18,6 +18,7 @@ eigenvector, R_a = |<w|psi_a>|^2 = 1/F'(E_a), and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,13 @@ from .graphs import LevelSpectrum
 _BLOCK = 1 << 16
 # Steps a root may take before the kernel reports non-convergence.
 _MAX_ITER = 64
+# Blocks of at most this many rows step each row on Python floats: on a few
+# rows the array path's per-row arithmetic is about 50 numpy calls a step, at
+# about 1 us each whatever their size.  On a 2-vCPU host (Python 3.11, numpy
+# 2.4), rows split between brackets 0 and 1: at K = 44 and 145 two rows took
+# 98-99 us on floats against 262-329 us on arrays, and arrays caught up between
+# 5 and 8 rows; at K = 6017 and 8321 floats were still ahead at 12 rows.
+_NARROW = 4
 
 
 class SecularPoleError(ValueError):
@@ -93,7 +101,10 @@ def _solve_brackets(spectrum: LevelSpectrum, gamma, brackets) -> tuple[np.ndarra
     is (-inf, 0); bracket i > 0 is (gamma*E_{i-1}, gamma*E_i).  Rows are
     solved in blocks of at most _BLOCK entries (one row when K is larger),
     and no row's arithmetic depends on the other rows, so a root comes out
-    the same whichever brackets and couplings are solved with it.
+    the same whichever brackets and couplings are solved with it.  Blocks of
+    at most _NARROW rows step each row on Python floats (_solve_row), with
+    the same IEEE operations in the same order, so both paths return
+    bitwise-equal roots.
     """
     brackets = np.asarray(brackets, dtype=int)
     gammas = np.full(brackets.shape, gamma, dtype=float)
@@ -102,11 +113,16 @@ def _solve_brackets(spectrum: LevelSpectrum, gamma, brackets) -> tuple[np.ndarra
         raise ValueError(f"gamma must lie in [1e-100, 1e100], got {gamma}")
     roots = np.empty(len(brackets))
     fprimes = np.empty(len(brackets))
-    rows = max(1, _BLOCK // spectrum.num_levels)
+    rows = min(len(brackets), max(1, _BLOCK // spectrum.num_levels))
     # Every block works in one allocation of three row blocks (delta and two
     # workspaces): block arrays freed one by one let malloc hand the top of
     # its heap back to the system, and the next block page-faults it in again.
-    work = np.empty((3, min(rows, len(brackets)), spectrum.num_levels))
+    work = np.empty((3, 1 if rows <= _NARROW else rows, spectrum.num_levels))
+    if rows <= _NARROW:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for i in range(len(brackets)):
+                roots[i], fprimes[i] = _solve_row(spectrum, float(gammas[i]), int(brackets[i]), work)
+        return roots, fprimes
     for i in range(0, len(brackets), rows):
         block = slice(i, i + rows)
         roots[block], fprimes[block] = _solve_block(spectrum, gammas[block], brackets[block], work)
@@ -114,10 +130,35 @@ def _solve_brackets(spectrum: LevelSpectrum, gamma, brackets) -> tuple[np.ndarra
 
 
 def _pole_distances(gamma, levels, origins, out):
-    """gamma*(levels - origin) for each row's coupling and origin, into out."""
-    np.subtract(levels, origins[:, None], out=out)
-    out *= gamma[:, None]
+    """gamma*(levels - origin) into out; gamma and origin are scalars or columns."""
+    np.subtract(levels, origins, out=out)
+    out *= gamma
     return out
+
+
+def _ground_fits(spectrum):
+    """(c, p/gamma) of three one-pole fits c/(p - x) to the rest of F at the ground root.
+
+    R(x) = sum_{k>=1} w_k/(gamma*E_k - x) is a Stieltjes function of x < 0,
+    and Jensen's inequality bounds it by one-pole fits: from below by the
+    fits to s1, s2 (c = s1^2/s2, p = gamma*s1/s2) and to W = 1 - 1/N, m1
+    (c = W, p = gamma*m1/W), from above by the fit to W, s1 (c = W,
+    p = gamma*W/s1).  With R replaced by a fit, F = 1 is
+    x**2 + (c - p + 1/N)*x = p/N; its negative root lies above the ground
+    root for a lower fit and under it for the upper one.
+    """
+    s1, s2, total = spectrum.s1, spectrum.s2, 1.0 - float(spectrum.weights[0])
+    return (s1 * s1 / s2, total, total), (s1 / s2, spectrum.m1 / total, total / s1)
+
+
+def _bracket_error(levels, bracket: int, gamma: float, tau, h) -> BracketError:
+    """Non-convergence in one row, named by its coupling, bracket, poles, last tau and |H|."""
+    poles = (-np.inf, 0.0) if bracket == 0 else (gamma * levels[bracket - 1], gamma * levels[bracket])
+    return BracketError(
+        f"secular kernel did not converge in {_MAX_ITER} steps at gamma={gamma!r}: "
+        f"bracket {bracket} ({float(poles[0])!r}, {float(poles[1])!r}), last tau={float(tau)!r} "
+        f"with |H|={abs(float(h))!r}"
+    )
 
 
 def _signed_root(a, b, m, sign):
@@ -129,6 +170,40 @@ def _signed_root(a, b, m, sign):
     b = sign * b
     s = np.sqrt(b * b + 4.0 * a * m)
     return sign * np.where(b >= 0.0, 2.0 * m / (b + s), (s - b) / (2.0 * a))
+
+
+def _div(a: float, b: float) -> float:
+    """a / b on Python floats; numpy's inf or nan, under the caller's errstate, where b is 0."""
+    return a / b if b else float(np.divide(a, b))
+
+
+def _float_signed_root(a: float, b: float, m: float, sign: float) -> float:
+    """_signed_root on Python floats, nan where the square root's argument is negative."""
+    b = sign * b
+    disc = b * b + 4.0 * a * m
+    s = math.sqrt(disc) if disc >= 0.0 else math.nan
+    return sign * (_div(2.0 * m, b + s) if b >= 0.0 else _div(s - b, 2.0 * a))
+
+
+def _level_passes(weights, delta, tau, inv, terms):
+    """R - 1, R' and sum_k |w_k/(delta_k - tau)| per row, from passes over the levels
+    in the workspaces inv and terms; tau is a scalar or a column."""
+    np.subtract(delta, tau, out=inv)
+    np.reciprocal(inv, out=inv)
+    np.multiply(weights, inv, out=terms)
+    return (terms.sum(axis=1) - 1.0, np.multiply(terms, inv, out=inv).sum(axis=1),
+            np.abs(terms, out=terms).sum(axis=1))
+
+
+def _stops(tau, h, nxt, spread, own_term, end):
+    """(stop, edge) per row, on arrays or floats: a row stops once |H| is within its
+    rounding bound, the step is down to the last bits of tau, or the model root
+    rounds onto the bracket end (edge; the ground root can lie within half an ulp
+    of -1/N)."""
+    size = abs(tau)
+    edge = nxt == end
+    return ((abs(h) <= 8.0 * _EPS * (size * (spread + 1.0) + own_term))
+            | (abs(nxt - tau) <= 4.0 * _EPS * size) | edge), edge
 
 
 def _solve_block(spectrum, gamma, brackets, work):
@@ -146,10 +221,10 @@ def _solve_block(spectrum, gamma, brackets, work):
     Li 1994).  An inner root starts from the model that keeps both bracketing
     poles exact and freezes the rest of F at its value at the interval
     midpoint; the ground root starts between the roots of one-pole models
-    that bound R from above and from below.  Steps that leave the sign
-    bracket of tau are replaced by bisection.  Once H(tau) is within its
-    rounding bound, the root of the model built at tau is returned, a step
-    beyond tau at no extra pass over the levels.
+    that bound R from above and from below (_ground_fits).  Steps that leave
+    the sign bracket of tau are replaced by bisection.  Once H(tau) is within
+    its rounding bound, the root of the model built at tau is returned, a
+    step beyond tau at no extra pass over the levels.
     """
     levels, weights = spectrum.energies, spectrum.weights
     rows = np.arange(len(brackets))
@@ -158,10 +233,10 @@ def _solve_block(spectrum, gamma, brackets, work):
     delta, inv, terms = work[:, :len(rows)]
     # The sign of F - 1 at each interval midpoint names the nearer pole.
     centre = 0.5 * (levels[own[inner] - 1] + levels[own[inner]])
-    dist = _pole_distances(gamma[inner], levels, centre, inv[:len(centre)])
+    dist = _pole_distances(gamma[inner, None], levels, centre[:, None], inv[:len(centre)])
     f_mid = np.divide(weights, dist, out=dist).sum(axis=1)
     own[inner] -= f_mid >= 1.0
-    _pole_distances(gamma, levels, levels[own], delta)
+    _pole_distances(gamma[:, None], levels, levels[own, None], delta)
     # tau lies between the own pole and the interval midpoint; the ground
     # root lies in (-1, -1/N) because F(-1) < 1 < F(-1/N).
     other = np.where(own < brackets, brackets, np.maximum(brackets - 1, 0))
@@ -184,38 +259,19 @@ def _solve_block(spectrum, gamma, brackets, work):
         a_o, a_x, d = own_term[inner], weights[other[inner]], 2.0 * half[inner]
         c1 = f_mid - 1.0 + 2.0 * (a_o - a_x) / d
         nxt[inner] = _signed_root(-c1 / d, c1 + (a_o + a_x) / d, a_o, sign[inner])
-        # Ground root: R(x) = sum_{k>=1} w_k/(gamma*E_k - x) is a Stieltjes
-        # function of x < 0, and Jensen's inequality bounds it by one-pole fits
-        # c/(p - x): from below by the fits to s1, s2 (c = s1^2/s2,
-        # p = gamma*s1/s2) and to W = 1 - 1/N, m1 (c = W, p = gamma*m1/W), from
-        # above by the fit to W, s1 (c = W, p = gamma*W/s1).  With R replaced by
-        # a fit, F = 1 is x**2 + (c - p + 1/N)*x = p/N; its negative root lies
-        # above the ground root for a lower fit and under it for the upper one.
-        # Start at the geometric mean of the upper fit's root and the lower of
-        # the other two.
-        w0, s1, s2, total = weights[0], spectrum.s1, spectrum.s2, 1.0 - weights[0]
-        c = np.array([[s1 * s1 / s2], [total], [total]])
-        p = np.array([[s1 / s2], [spectrum.m1 / total], [total / s1]]) * gamma[~inner]
+        # Ground root: start at the geometric mean of the upper fit's root
+        # and the lower of the other two.
+        w0, (c, p) = weights[0], _ground_fits(spectrum)
+        c, p = np.array(c)[:, None], np.array(p)[:, None] * gamma[~inner]
         fit = _signed_root(1.0, c - p + w0, w0 * p, -1.0)
         nxt[~inner] = -np.sqrt(fit[2] * fit[:2].min(axis=0))
         nxt = np.where((lo < nxt) & (nxt < hi), nxt, 0.5 * (lo + hi))
         for _ in range(_MAX_ITER):
             tau = nxt
-            np.subtract(delta, tau[:, None], out=inv)
-            np.reciprocal(inv, out=inv)
-            np.multiply(weights, inv, out=terms)
-            r1 = terms.sum(axis=1) - 1.0
-            rp = np.multiply(terms, inv, out=inv).sum(axis=1)
-            spread = np.abs(terms, out=terms).sum(axis=1)
+            r1, rp, spread = _level_passes(weights, delta, tau[:, None], inv, terms)
             h = tau * r1 - own_term
             nxt = _signed_root(rp, r1 - rp * tau, own_term, sign)
-            # Stop once |H| is within its rounding bound, the step is down to the
-            # last bits of tau, or the model root rounds onto the bracket end (the
-            # ground root can lie within half an ulp of -1/N).
-            size = np.abs(tau)
-            edge = nxt == end
-            done = ((np.abs(h) <= 8.0 * _EPS * (size * (spread + 1.0) + own_term))
-                    | (np.abs(nxt - tau) <= 4.0 * _EPS * size) | edge)
+            done, edge = _stops(tau, h, nxt, spread, own_term, end)
             above = sign * h >= 0.0
             hi = np.where(above, tau, hi)
             lo = np.where(above, lo, tau)
@@ -235,13 +291,54 @@ def _solve_block(spectrum, gamma, brackets, work):
                 np.take(delta, keep, axis=0, out=inv[:len(keep)], mode="clip")
                 delta, inv, terms = inv[:len(keep)], delta[:len(keep)], terms[:len(keep)]
             nxt = np.where(inside, nxt, 0.5 * (lo + hi))
-    b, g = int(brackets[live[0]]), float(gamma[live[0]])
-    poles = (-np.inf, 0.0) if b == 0 else (g * levels[b - 1], g * levels[b])
-    raise BracketError(
-        f"secular kernel did not converge in {_MAX_ITER} steps at gamma={g!r}: "
-        f"bracket {b} ({float(poles[0])!r}, {float(poles[1])!r}), last tau={float(tau[0])!r} "
-        f"with |H|={abs(float(h[0]))!r}"
-    )
+    raise _bracket_error(levels, int(brackets[live[0]]), float(gamma[live[0]]), tau[0], h[0])
+
+
+def _solve_row(spectrum, gamma: float, bracket: int, work):
+    """One row of _solve_brackets on Python floats; work holds three (1, K) rows.
+
+    _solve_block's algorithm with each of its operations on the row done as
+    the same IEEE operation in the same order, so the root and F' are bitwise
+    equal; the passes over the levels are the same numpy calls on one row.
+    """
+    levels, weights = spectrum.energies, spectrum.weights
+    delta, inv, terms = work
+    own = bracket
+    if bracket > 0:
+        centre = 0.5 * (float(levels[bracket - 1]) + float(levels[bracket]))
+        dist = _pole_distances(gamma, levels, centre, inv)
+        f_mid = np.divide(weights, dist, out=dist).sum(axis=1).item()
+        own -= f_mid >= 1.0
+    _pole_distances(gamma, levels, float(levels[own]), delta)
+    own_term = float(weights[own])
+    if bracket > 0:
+        other = bracket if own < bracket else bracket - 1
+        half = 0.5 * delta[0, other].item()
+        lo, hi, end = min(half, 0.0), max(half, 0.0), half
+        sign = 1.0 if hi > 0.0 else -1.0
+        a_x, d = float(weights[other]), 2.0 * half
+        c1 = f_mid - 1.0 + _div(2.0 * (own_term - a_x), d)
+        nxt = _float_signed_root(_div(-c1, d), c1 + _div(own_term + a_x, d), own_term, sign)
+    else:
+        lo, hi, end, sign = -1.0, -own_term, -own_term, -1.0
+        fit = [_float_signed_root(1.0, c - p * gamma + own_term, own_term * (p * gamma), -1.0)
+               for c, p in zip(*_ground_fits(spectrum))]
+        nxt = -math.sqrt(fit[2] * min(fit[:2]))     # both fits' roots are negative
+    delta[0, own] = np.inf
+    nxt = nxt if lo < nxt < hi else 0.5 * (lo + hi)
+    for _ in range(_MAX_ITER):
+        tau = nxt
+        r1, rp, spread = (v.item() for v in _level_passes(weights, delta, tau, inv, terms))
+        h = tau * r1 - own_term
+        nxt = _float_signed_root(rp, r1 - rp * tau, own_term, sign)
+        done, edge = _stops(tau, h, nxt, spread, own_term, end)
+        lo, hi = (lo, tau) if sign * h >= 0.0 else (tau, hi)
+        inside = lo < nxt < hi
+        if done:
+            x = nxt if inside or edge else tau
+            return gamma * float(levels[own]) + x, rp + _div(own_term, x * x)
+        nxt = nxt if inside else 0.5 * (lo + hi)
+    raise _bracket_error(levels, bracket, gamma, tau, h)
 
 
 def solve_spectrum(spectrum: LevelSpectrum, gamma: float) -> SecularSpectrum:

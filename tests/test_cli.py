@@ -476,6 +476,27 @@ def test_critical_points_checked_before_writing(tmp_path, capsys):
     assert os.listdir(tmp_path) == []
 
 
+def test_negative_seed_is_a_config_error(tmp_path, capsys):
+    rc = main(["validate", "--seed", "-1", "--output-dir", str(tmp_path)])
+    assert rc == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["type"] == "config"
+    assert "--seed" in error["message"] and "-1" in error["message"]
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("args", [["scan"], ["critical"], ["evolve", "--gamma", "0.0625"]])
+def test_points_above_cap_are_config_errors(tmp_path, capsys, args):
+    # checked before any work; without the cap a grid of 10^14 points fails to allocate
+    rc = main([*args, "--graph", "complete:16", "--points", "100000000000000",
+               "--output-dir", str(tmp_path)])
+    assert rc == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["type"] == "config"
+    assert "--points" in error["message"] and "100000000000000" in error["message"]
+    assert os.listdir(tmp_path) == []
+
+
 def test_computation_error_exit_code(tmp_path, capsys, monkeypatch):
     import qwsearch.cli as cli_mod
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -210,9 +211,35 @@ def test_non_convergence_raises(monkeypatch):
         solve_spectrum(levels("lattice:2:16"), gamma)
     with pytest.raises(BracketError) as inner:
         qwsearch.secular._solve_brackets(levels("lattice:2:16"), gamma, [3])
-    # the poles print as plain numbers
-    for exc in (info.value, inner.value):
+    # one row at K > 2^16 is a block of its own
+    big = levels("lattice:2:1024")
+    assert big.num_levels > qwsearch.secular._BLOCK
+    big_gamma = scan_center("lattice:2:1024")
+    with pytest.raises(BracketError) as one_row:
+        qwsearch.secular._solve_brackets(big, big_gamma, [1])
+    # the wide and the narrow calls name the coupling, bracket, poles, last tau
+    # and |H| alike, and the poles print as plain numbers
+    number = r"-?(?:inf|\d[\d.]*(?:e[-+]\d+)?)"
+    for exc, g in ((info.value, gamma), (inner.value, gamma), (one_row.value, big_gamma)):
+        assert re.search(rf"gamma={re.escape(repr(g))}: bracket \d+ \({number}, {number}\), "
+                         rf"last tau={number} with \|H\|={number}$", str(exc)), str(exc)
         assert "np.float64" not in str(exc)
+
+
+@pytest.mark.parametrize("a, b, m, sign", [
+    (1.0, 2.0, 3.0, 1.0), (1.0, -3.0, 2.0, -1.0), (-1.0, 4.0, 1.0, 1.0),
+    (-1.0, 1.0, 1.0, 1.0),      # negative discriminant: nan
+    (0.0, -1.0, 1.0, 1.0),      # zero divisor: inf
+    (0.0, 0.0, 0.0, -1.0),      # 0/0: nan
+    (math.inf, 1.0, 1.0, 1.0), (1e300, 1e300, 1e300, -1.0),
+])
+def test_float_signed_root_mirrors_array_root(a, b, m, sign):
+    # the row path's root of the step model gives numpy's value, inf or nan
+    # where numpy does, never ValueError or ZeroDivisionError
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        want = qwsearch.secular._signed_root(np.array([a]), np.array([b]), m, sign)
+        got = qwsearch.secular._float_signed_root(a, b, m, sign)
+    np.testing.assert_array_equal([got], want)
 
 
 @pytest.mark.parametrize("label", ["complete:2", "hypercube:1", "lattice:2:2",
@@ -320,6 +347,21 @@ def test_roots_converge_within_nine_steps(label, monkeypatch):
             solve_spectrum(ls, float(gamma))
 
 
+@pytest.mark.parametrize("label", BENCHMARK_FAMILIES[:14])
+def test_lowest_two_matches_array_path(label):
+    # lowest_two steps its two rows on Python floats; the same rows in one call
+    # at every coupling take the array path, and agree bit for bit from weak to
+    # strong coupling and across the coupling-sweep window
+    ls = levels(label)
+    assert qwsearch.secular._BLOCK // ls.num_levels > qwsearch.secular._NARROW
+    gammas = scan_center(label) * np.r_[np.geomspace(1e-6, 1e6, 25), np.linspace(0.5, 1.5, 41)]
+    roots, fprimes = qwsearch.secular._solve_brackets(
+        ls, np.repeat(gammas, 2), np.tile([0, 1], len(gammas)))
+    for j, gamma in enumerate(gammas.tolist()):
+        two = slice(2 * j, 2 * j + 2)
+        assert lowest_two(ls, gamma) == (*roots[two], *fprimes[two])
+
+
 @pytest.mark.parametrize("label", ["lattice:3:32", "lattice:2:64", "complete:1024",
                                    "hypercube:10", "lattice:5:8"])
 def test_weak_coupling_ground_root_starts_near(label):
@@ -370,3 +412,24 @@ def test_lowest_two_solve_secular_equation(label, factor):
     eps = np.finfo(float).eps
     for e, fp in ((e0, fp0), (e1, fp1)):
         assert abs(secular_value(ls, gamma, e) - 1.0) <= 64.0 * eps * (1.0 + abs(e) * fp)
+
+
+@_examples
+@given(label=_families, rows=st.lists(st.tuples(st.floats(0.0, 1.0, exclude_max=True), _factors),
+                                      min_size=1, max_size=2))
+def test_narrow_rows_match_array_rows(label, rows):
+    # one or two brackets anywhere in the spectrum, each at its own coupling,
+    # step on Python floats; padded past the crossover, the same rows take
+    # the array path, with rows that finish at other steps.  Rows share no
+    # arithmetic, so the two paths agree bit for bit.
+    ls = levels(label)
+    narrow = qwsearch.secular._NARROW
+    brackets = [int(u * ls.num_levels) for u, _ in rows]
+    gammas = [f * scan_center(label) for _, f in rows]
+    pad = np.resize(np.arange(ls.num_levels), narrow + 1).tolist()
+    assert len(rows) <= narrow < qwsearch.secular._BLOCK // ls.num_levels
+    roots, fprimes = qwsearch.secular._solve_brackets(ls, gammas, brackets)
+    wide_roots, wide_fprimes = qwsearch.secular._solve_brackets(
+        ls, gammas + [scan_center(label)] * len(pad), brackets + pad)
+    assert roots.tolist() == wide_roots[:len(rows)].tolist()
+    assert fprimes.tolist() == wide_fprimes[:len(rows)].tolist()
