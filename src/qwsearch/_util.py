@@ -57,3 +57,19 @@ def brent_root(fn, a: float, b: float, fa: float, fb: float) -> float:
         b += d if abs(d) > tol else math.copysign(tol, m)
         fb = fn(b)
 
+
+def step_out_root(fn, x: float, fx: float, step: float, limit: float) -> float | None:
+    """Zero of fn in the first step from x (fx = fn(x)) toward limit where fn turns.
+
+    Steps end at x + step, x + 2 step, x + 4 step, ..., with limit in place
+    of the first end past it; the first step whose end is zero or of the
+    other sign goes to brent_root, in ascending order.  None if there is none.
+    """
+    a, fa, last = x, fx, False
+    while not last:
+        last = abs(step) >= abs(limit - x)
+        b = limit if last else x + step
+        if (fb := fn(b)) * math.copysign(1.0, fa) <= 0.0:
+            return brent_root(fn, a, b, fa, fb) if a < b else brent_root(fn, b, a, fb, fa)
+        a, fa, step = b, fb, 2.0 * step
+    return None

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import brent_root
+from ._util import brent_root, step_out_root
 from .constants import NoRootError, green_integral, log_law_intercept, scaling_function_root
 from .evolution import default_time_horizon, find_optimal_time
 from .graphs import GraphFamily, LevelSpectrum, level_spectrum
@@ -29,8 +29,6 @@ MARGIN_SQRT = 5.0
 # where every correction is only logarithmically suppressed, get a factor 2.
 SLACK_SMALL_TERMS = 1.5
 SLACK_D2 = 2.0
-
-COARSE_SCAN_POINTS = 61
 
 
 @dataclass(frozen=True)
@@ -92,7 +90,7 @@ class PredictionRecord:
     p_predicted: float
     t_star: float
     t_predicted: float
-    window_half_width: float   # measured half-max width of p*(gamma); NaN if unresolved
+    window_half_width: float   # half the distance between the p*(gamma) = p_star/2 roots, or NaN
 
 
 @dataclass(frozen=True)
@@ -132,17 +130,6 @@ def _record(n: int, gamma: float, e0: float, e1: float, fp0: float, fp1: float) 
     )
 
 
-def _two_level_grid(spectrum: LevelSpectrum, grid: np.ndarray) -> np.ndarray:
-    """Rows (e0, e1, fprime0, fprime1) at each coupling, from one kernel call."""
-    roots, fprimes = _solve_brackets(spectrum, np.repeat(grid, 2), np.tile([0, 1], len(grid)))
-    return np.hstack([roots.reshape(-1, 2), fprimes.reshape(-1, 2)])
-
-
-def _gap_slope(e0, e1, fp0, fp1):
-    """gamma * d(E1 - E0)/dgamma, by Hellmann-Feynman dE_a/dgamma = (E_a + R_a)/gamma."""
-    return e1 + 1.0 / fp1 - e0 - 1.0 / fp0
-
-
 def scan_gamma(graph: GraphFamily, gamma_lo: float, gamma_hi: float,
                num_points: int) -> list[ScanRecord]:
     """Gap and two-level overlaps on a uniform coupling grid."""
@@ -151,32 +138,38 @@ def scan_gamma(graph: GraphFamily, gamma_lo: float, gamma_hi: float,
     if num_points < 2:
         raise ValueError(f"need at least 2 scan points, got {num_points}")
     grid = np.linspace(gamma_lo, gamma_hi, num_points)
-    rows = _two_level_grid(level_spectrum(graph), grid).tolist()
-    return [_record(graph.num_vertices, g, *row) for g, row in zip(grid, rows)]
+    roots, fprimes = _solve_brackets(level_spectrum(graph), np.repeat(grid, 2),
+                                     np.tile([0, 1], num_points))
+    return [_record(graph.num_vertices, g, e0, e1, fp0, fp1) for g, (e0, e1), (fp0, fp1)
+            in zip(grid, roots.reshape(-1, 2).tolist(), fprimes.reshape(-1, 2).tolist())]
+
+
+def _first_step(num_vertices: int, gamma: float) -> float:
+    """First step of a coupling search from gamma, 2% of gamma past the N^(-1/2) window."""
+    return (1.0 / math.sqrt(num_vertices) + 0.02) * gamma
 
 
 def find_critical_gamma(graph: GraphFamily) -> float:
     """Gap-minimizing coupling, the root of the gap derivative.
 
-    A 61-point scan on [center/3, 3*center] gives the gap and, by
-    Hellmann-Feynman, its derivative; Brent's method then solves
-    E1 + R1 - E0 - R0 = 0 in the grid cell beside the smallest gap where
-    the derivative turns from negative to positive.  Without such a cell
-    the gap minimum is not inside the window, and the grid argmin is
-    returned.
+    From the scan center S1 the search steps downhill, by _first_step and
+    then doubling, until the derivative turns, and Brent's method solves it
+    in that step.  It stops at S1/3 or 3*S1: where the derivative keeps its
+    sign up to there, the gap minimum lies beyond, and that end returns.
     """
     spectrum = level_spectrum(graph)
     center = coupling_scan_center(spectrum)
-    grid = np.linspace(center / 3.0, 3.0 * center, COARSE_SCAN_POINTS)
-    e0, e1, fp0, fp1 = _two_level_grid(spectrum, grid).T
-    slope = _gap_slope(e0, e1, fp0, fp1)
-    i = int(np.argmin(e1 - e0))
-    for j in (i - 1, i):
-        if 0 <= j < len(grid) - 1 and slope[j] < 0.0 <= slope[j + 1]:
-            return brent_root(lambda g: _gap_slope(*lowest_two(spectrum, g)),
-                              float(grid[j]), float(grid[j + 1]),
-                              float(slope[j]), float(slope[j + 1]))
-    return float(grid[i])
+
+    def slope(gamma: float) -> float:
+        # gamma * d(E1 - E0)/dgamma, by Hellmann-Feynman dE_a/dgamma = (E_a + R_a)/gamma
+        e0, e1, fp0, fp1 = lowest_two(spectrum, gamma)
+        return e1 + 1.0 / fp1 - e0 - 1.0 / fp0
+
+    s = slope(center)
+    end = 3.0 * center if s < 0.0 else center / 3.0
+    step = math.copysign(_first_step(graph.num_vertices, center), end - center)
+    root = step_out_root(slope, center, s, step, end)
+    return end if root is None else root
 
 
 def _margin(gamma_ref: float, num_vertices: int) -> float:
@@ -300,24 +293,16 @@ def _optimum(spectrum: LevelSpectrum, gamma: float):
     return (spec, *find_optimal_time(spec, default_time_horizon(spectrum.num_vertices)))
 
 
-def _window_half_width(spectrum: LevelSpectrum, gc: float, p_peak: float) -> float:
-    """Half-width of the coupling window where p* stays above half its peak."""
-    rel = np.linspace(0.85, 1.15, 13)
-    ps = [p_peak if r == 1.0 else _optimum(spectrum, r * gc)[2] for r in rel]
-    half = p_peak / 2.0
-    lo_cross = hi_cross = math.nan
-    for k in range(len(rel) - 1):
-        below, above = ps[k] < half, ps[k + 1] < half
-        if below != above:
-            frac = (half - ps[k]) / (ps[k + 1] - ps[k])
-            x = (rel[k] + frac * (rel[k + 1] - rel[k])) * gc
-            if rel[k] < 1.0:
-                lo_cross = x
-            else:
-                hi_cross = x
-    if math.isnan(lo_cross) or math.isnan(hi_cross):
-        return math.nan
-    return (hi_cross - lo_cross) / 2.0
+def _half_max_crossings(spectrum: LevelSpectrum, gc: float, p_peak: float):
+    """(below, above): the roots of p*(gamma) = p_peak/2 either side of gc, stepped
+    out from gc by _first_step; NaN on a side where p* stays above p_peak/2 to 15%."""
+    def excess(gamma: float) -> float:
+        return _optimum(spectrum, gamma)[2] - p_peak / 2.0
+
+    step = _first_step(spectrum.num_vertices, gc)
+    crossings = (step_out_root(excess, gc, p_peak / 2.0, side * step, (1.0 + 0.15 * side) * gc)
+                 for side in (-1.0, 1.0))
+    return tuple(math.nan if x is None else x for x in crossings)
 
 
 def critical_predictions(d: int, sides: list[int]) -> list[PredictionRecord]:
@@ -340,7 +325,7 @@ def critical_predictions(d: int, sides: list[int]) -> list[PredictionRecord]:
         gc = find_critical_gamma(graph)
         spec, t_star, p_star = _optimum(spectrum, gc)
         e_pred = i1 / math.sqrt(i2 * n)
-        width = _window_half_width(spectrum, gc, p_star)
+        below, above = _half_max_crossings(spectrum, gc, p_star)
         records.append(PredictionRecord(
             num_vertices=n,
             gamma_used=gc,
@@ -354,7 +339,7 @@ def critical_predictions(d: int, sides: list[int]) -> list[PredictionRecord]:
             p_predicted=i1**2 / i2,
             t_star=t_star,
             t_predicted=(math.pi / 2.0) * math.sqrt(i2 * n) / i1,
-            window_half_width=width,
+            window_half_width=(above - below) / 2.0,
         ))
     return records
 

@@ -33,7 +33,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._util import _EPS, brent_root, compensated_sum
+from ._util import _EPS, compensated_sum, step_out_root
 from .graphs import GraphFamily, level_spectrum
 
 QUAD_UPPER = 2000.0          # switchover from quadrature to the asymptotic tail
@@ -229,18 +229,15 @@ def scaling_function(x: float, dim: int) -> float:
 
 
 def scaling_function_root(a: float, dim: int) -> float:
-    """The unique x0 < 0 with scaling_function(x0, dim) = a."""
+    """The unique x0 < 0 with scaling_function(x0, dim) = a, stepped out from x = -1e-12."""
     def f(x: float) -> float:
         return scaling_function(x, dim) - a
 
-    lo, hi = -1.0, -1e-12
-    if (f_hi := f(hi)) < 0.0:
-        raise NoRootError(f"no negative root for a={a}: the function is {a + f_hi} at x={hi}")
-    while (f_lo := f(lo)) > 0.0:
-        lo *= 2.0
-        if -lo > X_BRACKET_CAP:
-            raise NoRootError(f"no negative root for a={a}: range exhausted at x={lo}")
-    return brent_root(f, lo, hi, f_lo, f_hi)
+    if (f_hi := f(-1e-12)) < 0.0:
+        raise NoRootError(f"no negative root for a={a}: the function is {a + f_hi} at x=-1e-12")
+    if (x0 := step_out_root(f, -1e-12, f_hi, -1.0, -X_BRACKET_CAP)) is None:
+        raise NoRootError(f"no negative root for a={a}: range exhausted at x={-X_BRACKET_CAP}")
+    return x0
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import brent_root
+from ._util import step_out_root
 from .graphs import GraphFamily, neg_laplacian
 from .secular import SecularSpectrum
 
@@ -91,17 +91,17 @@ def trace(spec: SecularSpectrum, t_max: float, num_points: int) -> EvolutionTrac
 def find_optimal_time(spec: SecularSpectrum, t_max: float):
     """Best measurement time on [0, t_max]: grid scan, then a root of d|amp|^2/dt.
 
-    Brent's method solves the slope in the grid cell beside the best grid
-    point when the slope turns from positive to negative across it;
+    The slope's sign at the best grid point picks its uphill neighbour, and
+    Brent's method solves the slope between the two when it turns there;
     otherwise (a peak at t_max, say) the grid point stands.  Returns
     (t_star, p_star) with p_star at least the best grid probability.
     """
     if not 0.0 < t_max < math.inf:
         raise ValueError(f"t_max must be positive and finite, got {t_max}")
-    times = np.linspace(0.0, float(t_max), OPTIMAL_TIME_GRID)
+    times = np.linspace(0.0, float(t_max), OPTIMAL_TIME_GRID).tolist()
     probs = np.abs(amplitudes(spec, t_max, OPTIMAL_TIME_GRID)) ** 2
     i = int(np.argmax(probs))
-    t_star, p_star = float(times[i]), float(probs[i])
+    t_star, p_star = times[i], float(probs[i])
     coeffs = spectral_coefficients(spec)
 
     def slope(t: float) -> float:
@@ -110,15 +110,11 @@ def find_optimal_time(spec: SecularSpectrum, t_max: float):
         return float((np.conj(terms.sum()) * (spec.energies @ terms)).imag)
 
     s = slope(t_star)
-    j = i if s > 0.0 else i - 1
-    if 0 <= j < len(times) - 1:
-        lo, hi = float(times[j]), float(times[j + 1])
-        s_lo, s_hi = (s, slope(hi)) if j == i else (slope(lo), s)
-        if s_lo > 0.0 > s_hi:
-            t = brent_root(slope, lo, hi, s_lo, s_hi)
-            p = abs(amplitude(spec, t)) ** 2
-            if p > p_star:
-                t_star, p_star = t, p
+    k = i + 1 if s > 0.0 else i - 1
+    if 0 <= k < len(times):
+        t = step_out_root(slope, t_star, s, times[k] - t_star, times[k])
+        if t is not None and (p := abs(amplitude(spec, t)) ** 2) > p_star:
+            t_star, p_star = t, p
     return t_star, p_star
 
 

@@ -16,6 +16,7 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 import qwsearch.secular
 from qwsearch import (
@@ -45,6 +46,15 @@ IDENTITY_FAMILIES = (
     "lattice:3:8", "lattice:4:4", "lattice:5:4",
 )
 IDENTITY_GAMMA_FACTORS = (0.25, 0.5, 1.0, 2.0, 4.0)
+# Family labels for the hypothesis properties, up to the largest lattice
+# side per dimension with N <= 4096.
+_MAX_SIDE = {1: 4096, 2: 64, 3: 16, 4: 8, 5: 5}
+RANDOM_FAMILIES = st.one_of(
+    st.integers(2, 2048).map(lambda n: f"complete:{n}"),
+    st.integers(1, 12).map(lambda bits: f"hypercube:{bits}"),
+    st.sampled_from(sorted(_MAX_SIDE)).flatmap(
+        lambda d: st.integers(2, _MAX_SIDE[d]).map(lambda side: f"lattice:{d}:{side}")),
+)
 
 
 def _counting(monkeypatch, modules, name, calls, keep=lambda *args: True):

@@ -3,9 +3,10 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize_scalar
 
-from _shared import _counting, critical, family, levels, scan_center, solved
+from _shared import RANDOM_FAMILIES, _counting, critical, family, levels, scan_center, solved
 
 import qwsearch.analysis
 import qwsearch.evolution
@@ -169,6 +170,20 @@ def test_hellmann_feynman_slopes(label):
             assert (up[a] - down[a]) / (2.0 * h) == pytest.approx(slope, rel=1e-8)
 
 
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(label=RANDOM_FAMILIES, factor=st.floats(-1.0, 1.0).map(lambda e: 10.0 ** e))
+def test_hellmann_feynman_slopes_property(label, factor):
+    # the same centred differences on any family, at 0.1 to 10 times the scan
+    # centre: the gamma_c search steps on the sign of this slope
+    ls = levels(label)
+    gamma = factor * scan_center(label)
+    h = 1e-6 * gamma
+    e0, e1, fp0, fp1 = lowest_two(ls, gamma)
+    up, down = lowest_two(ls, gamma + h), lowest_two(ls, gamma - h)
+    for a, (e, fp) in enumerate(((e0, fp0), (e1, fp1))):
+        assert (up[a] - down[a]) / (2.0 * h) == pytest.approx((e + 1.0 / fp) / gamma, rel=1e-8)
+
+
 @pytest.mark.parametrize("label", SWEEP_FAMILIES)
 def test_critical_gamma_is_gap_minimum(label):
     # the derivative root against scipy's bounded minimizer of the gap itself
@@ -186,25 +201,25 @@ def test_critical_gamma_is_gap_minimum(label):
 
 @pytest.mark.parametrize("label", SWEEP_FAMILIES)
 def test_critical_gamma_kernel_calls(monkeypatch, label):
-    # one batched call for the coarse grid, then one lowest_two per Brent step
+    # one lowest_two at the centre, then one per outward step and Brent step
     calls = []
     _counting(monkeypatch, (qwsearch.secular, qwsearch.analysis), "_solve_brackets", calls)
     find_critical_gamma(family(label))
-    rows = sorted(len(brackets) for _, _, brackets in calls)
-    assert rows[-1] == 2 * qwsearch.analysis.COARSE_SCAN_POINTS
-    assert rows[:-1] == [2] * (len(rows) - 1) and len(rows) - 1 <= 16
+    assert [len(brackets) for _, _, brackets in calls] == [2] * len(calls)
+    assert len(calls) <= 16
 
 
-@pytest.mark.parametrize("label, shift, index", [
-    ("lattice:3:10", 20.0, 0), ("lattice:2:32", 20.0, 0), ("complete:1024", 0.05, -1),
+@pytest.mark.parametrize("label, shift, end", [
+    ("lattice:3:10", 20.0, "low"), ("lattice:2:32", 20.0, "low"), ("complete:1024", 0.05, "high"),
+    ("complete:2", 1.0, "low"), ("hypercube:1", 1.0, "low"),
 ])
-def test_critical_gamma_falls_back_to_grid(monkeypatch, label, shift, index):
-    # with the gap minimum outside the window the derivative keeps one sign,
-    # and the grid end nearest the minimum comes back
+def test_critical_gamma_clamps_to_window(monkeypatch, label, shift, end):
+    # with the gap minimum outside [center/3, 3*center] the derivative keeps
+    # one sign, and the window end nearest the minimum comes back; at N = 2
+    # the gap falls all the way to gamma = 0
     center = shift * scan_center(label)
     monkeypatch.setattr(qwsearch.analysis, "coupling_scan_center", lambda spectrum: center)
-    grid = np.linspace(center / 3.0, 3.0 * center, qwsearch.analysis.COARSE_SCAN_POINTS)
-    assert find_critical_gamma(family(label)) == grid[index]
+    assert find_critical_gamma(family(label)) == (center / 3.0 if end == "low" else 3.0 * center)
 
 
 def test_critical_reference_lattice_only():
@@ -341,6 +356,38 @@ def test_predictions_d5_converge():
         assert r.e0_measured < 0 < r.e1_measured
         assert abs(r.fprime0_measured - r.fprime_predicted) / r.fprime_predicted < 0.5
         assert r.p_star <= 1.0
+
+
+def _scan_crossing(spectrum, gc, p_peak, side):
+    """First coupling from gc outward where p* falls below p_peak/2, on steps of
+    0.1% of gc interpolated linearly; NaN if p* stays above it out to 15%."""
+    x, p = gc, p_peak
+    for k in range(1, 151):
+        x_next = gc * (1.0 + side * 1e-3 * k)
+        p_next = qwsearch.analysis._optimum(spectrum, x_next)[2]
+        if p_next < p_peak / 2.0:
+            return x + (x_next - x) * (p - p_peak / 2.0) / (p - p_next)
+        x, p = x_next, p_next
+    return math.nan
+
+
+@pytest.mark.parametrize("d, side, resolved", [
+    (4, 8, True), (5, 6, True), (4, 4, False), (5, 3, False),
+])
+def test_window_half_width_against_fine_scan(d, side, resolved):
+    # the crossings of p*(gamma) = p_peak/2 are roots of p* itself; on the
+    # smallest lattices one lies beyond 15% of gamma_c, and the width is NaN
+    label = f"lattice:{d}:{side}"
+    spectrum, gc = levels(label), critical(label)
+    p_peak = qwsearch.analysis._optimum(spectrum, gc)[2]
+    width = critical_predictions(d, [side])[0].window_half_width
+    below, above = (_scan_crossing(spectrum, gc, p_peak, s) for s in (-1, 1))
+    if not resolved:
+        assert math.isnan(width) and math.isnan(above - below)
+        return
+    assert width == pytest.approx((above - below) / 2.0, rel=0.01)
+    for x in qwsearch.analysis._half_max_crossings(spectrum, gc, p_peak):
+        assert qwsearch.analysis._optimum(spectrum, x)[2] == pytest.approx(p_peak / 2.0, rel=1e-9)
 
 
 def test_subcritical_rejects_other_dims():

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from _shared import (
     IDENTITY_FAMILIES,
     IDENTITY_GAMMA_FACTORS,
+    RANDOM_FAMILIES,
     _peak_bytes,
     ground_and_gap,
     levels,
@@ -371,21 +372,13 @@ def test_weak_coupling_ground_root_starts_near(label):
     assert steps_to_converge(ls, 1e-6 * scan_center(label), 0) <= 5
 
 
-# Largest lattice side per dimension with N <= 4096.
-_MAX_SIDE = {1: 4096, 2: 64, 3: 16, 4: 8, 5: 5}
-_families = st.one_of(
-    st.integers(2, 2048).map(lambda n: f"complete:{n}"),
-    st.integers(1, 12).map(lambda bits: f"hypercube:{bits}"),
-    st.sampled_from(sorted(_MAX_SIDE)).flatmap(
-        lambda d: st.integers(2, _MAX_SIDE[d]).map(lambda side: f"lattice:{d}:{side}")),
-)
 # Couplings log-uniform from 1e-6 to 1e6 times the scan centre.
 _factors = st.floats(-6.0, 6.0).map(lambda e: 10.0 ** e)
 _examples = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
 
 @_examples
-@given(label=_families, factor=_factors)
+@given(label=RANDOM_FAMILIES, factor=_factors)
 def test_spectrum_properties(label, factor):
     ls = levels(label)
     gamma = factor * scan_center(label)
@@ -403,7 +396,7 @@ def test_spectrum_properties(label, factor):
 
 
 @_examples
-@given(label=_families, factor=_factors)
+@given(label=RANDOM_FAMILIES, factor=_factors)
 def test_lowest_two_solve_secular_equation(label, factor):
     # F - 1 at a returned root is about its rounding, eps*|E|, times the slope F'
     ls = levels(label)
@@ -415,8 +408,9 @@ def test_lowest_two_solve_secular_equation(label, factor):
 
 
 @_examples
-@given(label=_families, rows=st.lists(st.tuples(st.floats(0.0, 1.0, exclude_max=True), _factors),
-                                      min_size=1, max_size=2))
+@given(label=RANDOM_FAMILIES,
+       rows=st.lists(st.tuples(st.floats(0.0, 1.0, exclude_max=True), _factors),
+                     min_size=1, max_size=2))
 def test_narrow_rows_match_array_rows(label, rows):
     # one or two brackets anywhere in the spectrum, each at its own coupling,
     # step on Python floats; padded past the crossover, the same rows take

@@ -5,7 +5,8 @@ import pytest
 
 from _shared import _peak_bytes
 
-from qwsearch._util import brent_root, compensated_sum
+import qwsearch._util
+from qwsearch._util import brent_root, compensated_sum, step_out_root
 
 _RNG = np.random.default_rng(20260)
 # Wide exponents and both signs, so the float64 running sum would round badly.
@@ -63,3 +64,66 @@ def test_brent_root_at_bracket_end():
     # an exact zero at either end comes back without another evaluation
     assert brent_root(_never, 1.0, 3.0, 0.0, 2.0) == 1.0
     assert brent_root(_never, -1.0, 1.0, -2.0, 0.0) == 1.0
+
+
+def _recording(fn):
+    points = []
+
+    def wrapped(x):
+        points.append(x)
+        return fn(x)
+
+    return wrapped, points
+
+
+def test_step_out_root_first_step():
+    fn, points = _recording(lambda x: x - 0.5)
+    assert step_out_root(fn, 0.0, -0.5, 1.0, 10.0) == pytest.approx(0.5, abs=1e-15)
+    assert points[0] == 1.0 and all(0.0 <= x <= 1.0 for x in points)
+
+
+def test_step_out_root_after_doublings():
+    # steps end at 0.1, 0.2, 0.4, ..., and the root 5.3 lies in the step to 6.4
+    fn, points = _recording(lambda x: math.tanh(x - 5.3))
+    assert abs(step_out_root(fn, 0.0, fn(0.0), 0.1, 100.0) - 5.3) <= 4.0 * math.ulp(5.3)
+    assert points[1:8] == [0.1, 0.2, 0.4, 0.8, 1.6, 3.2, 6.4]
+    assert all(3.2 <= x <= 6.4 for x in points[8:])
+
+
+@pytest.mark.parametrize("root", [1.0, 0.9], ids=["at-limit", "before-limit"])
+def test_step_out_root_reaches_limit(root):
+    # steps end at 0.3 and 0.6; the next one, to 1.2, is cut to the limit 1.0
+    fn, points = _recording(lambda x: x - root)
+    assert step_out_root(fn, 0.0, -root, 0.3, 1.0) == pytest.approx(root, abs=1e-15)
+    assert points[:3] == [0.3, 0.6, 1.0] and max(points) == 1.0
+
+
+def test_step_out_root_without_sign_change():
+    fn, points = _recording(math.exp)
+    assert step_out_root(fn, 0.0, 1.0, 0.25, 3.0) is None
+    assert points == [0.25, 0.5, 1.0, 2.0, 3.0]
+
+
+@pytest.mark.parametrize("fn, root", [
+    (lambda x: x - 7.0, 7.0), (lambda x: math.exp(x) - math.exp(7.5), 7.5), (lambda x: -1.0, None),
+], ids=["linear", "steep", "no-root"])
+def test_step_out_root_never_passes_limit(fn, root):
+    fn, points = _recording(fn)
+    x = step_out_root(fn, 0.0, fn(0.0), 1.0, 7.5)
+    assert x is None if root is None else x == pytest.approx(root, abs=1e-14)
+    assert max(points) <= 7.5
+
+
+def test_step_out_root_negative_steps(monkeypatch):
+    # stepping down from 0 toward -100, the bracket still reaches Brent in ascending order
+    brackets = []
+
+    def brent(fn, a, b, fa, fb):
+        brackets.append((a, b))
+        return brent_root(fn, a, b, fa, fb)
+
+    monkeypatch.setattr(qwsearch._util, "brent_root", brent)
+    fn, points = _recording(lambda x: x + 2.5)
+    assert step_out_root(fn, 0.0, 2.5, -1.0, -100.0) == -2.5
+    assert brackets == [(-4.0, -2.0)] and points[:3] == [-1.0, -2.0, -4.0]
+    assert min(points) >= -4.0
