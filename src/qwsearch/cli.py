@@ -247,20 +247,12 @@ def _scan_table(cfg: RunConfig, graph: GraphFamily, stem: str, center: float):
     yield from _emit_table(cfg, stem, *_table(ScanRecord, scan_gamma(graph, lo, hi, cfg.points)))
 
 
-def _check_points(points: int):
-    """Reject a --points above _MAX_POINTS, before the handler writes a file."""
-    if points > _MAX_POINTS:
-        raise ValueError(f"--points must be at most {_MAX_POINTS}, got {points}")
-
-
 def _cmd_scan(cfg: RunConfig):
-    _check_points(cfg.points)
     graph = parse_graph_spec(cfg.graph)
     yield from _scan_table(cfg, graph, "scan", coupling_scan_center(level_spectrum(graph)))
 
 
 def _cmd_evolve(cfg: RunConfig):
-    _check_points(cfg.time_points)
     graph = parse_graph_spec(cfg.graph)
     spec = solve_spectrum(level_spectrum(graph), cfg.gamma)
     t_max = cfg.time_max if cfg.time_max is not None else default_time_horizon(graph.num_vertices)
@@ -287,14 +279,7 @@ def _bound_payload(report) -> dict:
 
 
 def _cmd_critical(cfg: RunConfig):
-    if cfg.points < 2:      # before critical.json is written
-        raise ValueError(f"need at least 2 scan points, got {cfg.points}")
-    _check_points(cfg.points)
     graph = parse_graph_spec(cfg.graph)
-    bounded = graph.kind == "lattice" and graph.dim >= 2
-    # First: at d = 2 the reference fits other lattices' levels, which would
-    # evict this graph's levels from the one-entry memo.
-    ref = critical_reference(graph) if bounded else None
     spectrum = level_spectrum(graph)
     gc = find_critical_gamma(graph)
     e0, e1, _, _ = lowest_two(spectrum, gc)
@@ -306,8 +291,8 @@ def _cmd_critical(cfg: RunConfig):
         "e1": e1,
         "scan_center": coupling_scan_center(spectrum),
     }
-    if bounded:
-        payload["gamma_reference"] = ref
+    if graph.kind == "lattice" and graph.dim >= 2:
+        payload["gamma_reference"] = critical_reference(graph)
         payload["bounds"] = [_bound_payload(r) for r in bound_suites(graph)]
     yield "critical.json", _json_text(payload)
     yield from _scan_table(cfg, graph, "critical_scan", gc)
@@ -330,17 +315,11 @@ def _cmd_scaling(cfg: RunConfig):
 
 
 def _cmd_validate(cfg: RunConfig):
-    if cfg.seed < 0:        # before validate.json is written; numpy's message names no flag
-        raise ValueError(f"--seed must be non-negative, got {cfg.seed}")
-    graphs = [parse_graph_spec(label) for label in VALIDATION_FAMILIES]
-    smallest = min(g.num_vertices for g in graphs)
-    if cfg.oracle_cap < smallest:       # before validate.json is written
-        raise ValueError(f"oracle cap {cfg.oracle_cap} admits no validation family; "
-                         f"the smallest has N = {smallest}")
     rng = np.random.default_rng(cfg.seed)
     results = []
     worst = 0.0
-    for graph in graphs:
+    for label in VALIDATION_FAMILIES:
+        graph = parse_graph_spec(label)
         if graph.num_vertices > cfg.oracle_cap:
             results.append({"graph": graph.label(), "skipped": True,
                             "reason": f"N={graph.num_vertices} above oracle cap"})
@@ -413,9 +392,11 @@ def _cmd_figures(cfg: RunConfig):
 # Entry point
 # ---------------------------------------------------------------------------
 
-def _numbers(kind: type, sep: str | None = None, count: int | None = None):
+def _numbers(kind: type, sep: str | None = None, count: int | None = None,
+             lo: float = -math.inf, hi: float = math.inf):
     """An argparse type reading one `kind` value, or with `sep` a tuple of `count` (any
-    number when None), from ASCII text only: int() and float() take any Unicode digit."""
+    number when None), each in [lo, hi], from ASCII text only: int() and float() take
+    any Unicode digit."""
     def read(text: str):
         parts = text.split(sep) if sep else [text]
         try:
@@ -426,6 +407,8 @@ def _numbers(kind: type, sep: str | None = None, count: int | None = None):
             what = (f"{count or 'one or more'} {kind.__name__}s joined by {sep!r}"
                     if sep else f"one {kind.__name__}")
             raise argparse.ArgumentTypeError(f"expected {what} in ASCII, got {text!r}") from None
+        if any(value < lo or value > hi for value in values):     # NaN goes on to the library
+            raise argparse.ArgumentTypeError(f"expected a value in [{lo}, {hi}], got {text!r}")
         return values if sep else values[0]
     return read
 
@@ -436,6 +419,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Spectral experiments for quantum-walk spatial search.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    points = _numbers(int, lo=2, hi=_MAX_POINTS)
 
     # Each command takes only the flags it reads; defaults live in RunConfig alone.
     def command(name, summary, table=True, plot=True, graph=False, gamma=False):
@@ -457,19 +441,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p = command("scan", "gap and overlaps over a coupling window", graph=True)
     p.add_argument("--gamma-range", type=_numbers(float, ":", 2),
                    help="LO:HI, defaults to 0.5x..1.5x the scan center")
-    p.add_argument("--points", type=_numbers(int))
+    p.add_argument("--points", type=points)
     p = command("evolve", "success amplitude over time", graph=True, gamma=True)
     p.add_argument("--time-max", type=_numbers(float))
-    p.add_argument("--points", type=_numbers(int), dest="time_points")
+    p.add_argument("--points", type=points, dest="time_points")
     p = command("critical", "locate the critical coupling; lattice bound suites", graph=True)
-    p.add_argument("--points", type=_numbers(int))
+    p.add_argument("--points", type=points)
     p = command("scaling", "N-scaling study at the measured critical coupling")
     p.add_argument("--dim", type=_numbers(int), required=True)
     p.add_argument("--sides", type=_numbers(int, ","), required=True,
                    help="comma-separated side lengths")
     p = command("validate", "spectral path against the dense oracle", table=False, plot=False)
-    p.add_argument("--seed", type=_numbers(int))
-    p.add_argument("--oracle-cap", type=_numbers(int))
+    p.add_argument("--seed", type=_numbers(int, lo=0))
+    # a cap below the smallest validation family's N would admit none
+    smallest = min(parse_graph_spec(label).num_vertices for label in VALIDATION_FAMILIES)
+    p.add_argument("--oracle-cap", type=_numbers(int, lo=smallest))
     command("figures", "emit the standard figure datasets and plot scripts")
     return parser
 

@@ -178,7 +178,8 @@ LOG_LAW_SIDES = (64, 128, 256, 512)
 @lru_cache(maxsize=None)
 def log_law_fit() -> dict:
     """Fit inverse_energy_sum(1, 2, L) - ln(N)/(4 pi) = A + b/N over LOG_LAW_SIDES."""
-    sums = [inverse_energy_sum(1, 2, side) for side in LOG_LAW_SIDES]
+    # Built past level_spectrum's one-entry memo, so the caller's levels stay in it.
+    sums = [level_spectrum.__wrapped__(GraphFamily.lattice(2, side)).s1 for side in LOG_LAW_SIDES]
     xs = [1.0 / (side * side) for side in LOG_LAW_SIDES]
     ys = [s - math.log(side * side) / (4.0 * math.pi) for s, side in zip(sums, LOG_LAW_SIDES)]
     slope, intercept = np.polyfit(xs, ys, 1)

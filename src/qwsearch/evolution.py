@@ -96,12 +96,10 @@ def find_optimal_time(spec: SecularSpectrum, t_max: float):
     otherwise (a peak at t_max, say) the grid point stands.  Returns
     (t_star, p_star) with p_star at least the best grid probability.
     """
-    if not 0.0 < t_max < math.inf:
-        raise ValueError(f"t_max must be positive and finite, got {t_max}")
-    times = np.linspace(0.0, float(t_max), OPTIMAL_TIME_GRID).tolist()
-    probs = np.abs(amplitudes(spec, t_max, OPTIMAL_TIME_GRID)) ** 2
-    i = int(np.argmax(probs))
-    t_star, p_star = times[i], float(probs[i])
+    grid = trace(spec, t_max, OPTIMAL_TIME_GRID)
+    times = grid.times.tolist()
+    i = int(np.argmax(grid.probabilities))
+    t_star, p_star = times[i], float(grid.probabilities[i])
     coeffs = spectral_coefficients(spec)
 
     def slope(t: float) -> float:

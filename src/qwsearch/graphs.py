@@ -25,6 +25,10 @@ import numpy as np
 # in dispersion_values' order, and distinct ones by at least 2.4e5 (at 2:2048):
 # 16 merges every rounding tie and no two distinct levels.
 LEVEL_GROUP_TOL = 16 * np.finfo(float).eps
+# Most axis-index multisets C(L/2 + d, d) a lattice level build may list: at its
+# peak of about 41 bytes each (5.4 MB for the 131841 of lattice:2:1024), 2^24 is
+# about 0.7 GB, far above the largest builds in use, 4:100 and 2:2048 (5.3e5).
+MAX_LEVEL_MULTISETS = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -159,6 +163,10 @@ def level_spectrum(graph: GraphFamily) -> LevelSpectrum:
         # Kept ordered by last index, the multisets that index b extends are a
         # prefix.  Cosines are summed before forming 2(d - sum) so lattice:2:4 stays
         # integer; one sort then merges sums whose energies are within tolerance.
+        count = math.comb(graph.side // 2 + graph.dim, graph.dim)
+        if count > MAX_LEVEL_MULTISETS:
+            raise ValueError(f"{graph.label()} needs {count} axis-index multisets, above "
+                             f"the level-build cap of {MAX_LEVEL_MULTISETS}")
         half = np.arange(graph.side // 2 + 1)
         axis_cos = np.cos(2.0 * np.pi * half / graph.side)
         axis_count = np.where((half == 0) | (2 * half == graph.side), 1, 2)

@@ -26,8 +26,7 @@ import numpy as np
 from ._util import _EPS, compensated_sum
 from .graphs import LevelSpectrum
 
-# Most float64 entries one row block of the secular kernel holds (512 KB),
-# unless a single row of K entries is larger.
+# Most float64 entries one row block of _solve_block holds (512 KB).
 _BLOCK = 1 << 16
 # Steps a root may take before the kernel reports non-convergence.
 _MAX_ITER = 64
@@ -98,13 +97,12 @@ def _solve_brackets(spectrum: LevelSpectrum, gamma, brackets) -> tuple[np.ndarra
     """Roots of F(E) = 1 and F' there, one per bracket index.
 
     gamma is one coupling for every row or one coupling per row.  Bracket 0
-    is (-inf, 0); bracket i > 0 is (gamma*E_{i-1}, gamma*E_i).  Rows are
-    solved in blocks of at most _BLOCK entries (one row when K is larger),
-    and no row's arithmetic depends on the other rows, so a root comes out
-    the same whichever brackets and couplings are solved with it.  Blocks of
-    at most _NARROW rows step each row on Python floats (_solve_row), with
-    the same IEEE operations in the same order, so both paths return
-    bitwise-equal roots.
+    is (-inf, 0); bracket i > 0 is (gamma*E_{i-1}, gamma*E_i).  No row's
+    arithmetic depends on the other rows, so a root comes out the same
+    whichever brackets and couplings are solved with it.  Blocks of at most
+    _NARROW rows step each row on Python floats (_solve_row), and wider
+    blocks of at most _BLOCK entries go to _solve_block, with the same IEEE
+    operations in the same order, so both paths return bitwise-equal roots.
     """
     brackets = np.asarray(brackets, dtype=int)
     gammas = np.full(brackets.shape, gamma, dtype=float)

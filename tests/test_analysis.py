@@ -21,6 +21,7 @@ from qwsearch import (
     green_integral,
     inverse_energy_sum,
     level_spectrum,
+    log_law_fit,
     log_law_intercept,
     lowest_two,
     scan_gamma,
@@ -29,6 +30,7 @@ from qwsearch import (
     verify_failure_bounds,
     verify_transition_bounds,
 )
+from qwsearch._util import step_out_root
 from qwsearch.analysis import bound_suites
 
 # The coupling-sweep benchmark families.
@@ -388,6 +390,41 @@ def test_window_half_width_against_fine_scan(d, side, resolved):
     assert width == pytest.approx((above - below) / 2.0, rel=0.01)
     for x in qwsearch.analysis._half_max_crossings(spectrum, gc, p_peak):
         assert qwsearch.analysis._optimum(spectrum, x)[2] == pytest.approx(p_peak / 2.0, rel=1e-9)
+
+
+def _two_root_half_width(spectrum, gc):
+    """Half the distance between the couplings either side of gc where the two-root
+    ceiling p2(gamma) = (|c0| + |c1|)^2 falls to p2(gc)/2, from lowest_two alone;
+    |c_a|^2 = R_a S_a, the product of the root's w and s overlaps."""
+    def p2(gamma):
+        e0, e1, fp0, fp1 = lowest_two(spectrum, gamma)
+        n = spectrum.num_vertices
+        return sum(math.sqrt(1.0 / fp * (1.0 / (n * e * e * fp))) for e, fp in
+                   ((e0, fp0), (e1, fp1))) ** 2
+
+    half = p2(gc) / 2.0
+    below, above = (step_out_root(lambda x: p2(x) - half, gc, half, side * 1e-3 * gc,
+                                  (1.0 + 0.15 * side) * gc) for side in (-1.0, 1.0))
+    return (above - below) / 2.0
+
+
+@pytest.mark.parametrize("d, side", [(4, 8), (5, 6), (4, 12), (5, 8), (4, 16), (5, 12)])
+def test_window_half_width_against_two_root_ceiling(d, side):
+    # near gamma_c two roots carry nearly all of the peak, so their ceiling's
+    # half-maximum width checks the window without _optimum or find_optimal_time
+    label = f"lattice:{d}:{side}"
+    width = critical_predictions(d, [side])[0].window_half_width
+    assert width == pytest.approx(_two_root_half_width(levels(label), critical(label)), rel=0.05)
+
+
+def test_critical_search_and_bound_suites_build_levels_once():
+    # the d = 2 reference fits its log law past the memo, so it evicts nothing
+    log_law_fit.cache_clear()
+    level_spectrum.cache_clear()
+    graph = family("lattice:2:16")
+    find_critical_gamma(graph)
+    bound_suites(graph)
+    assert level_spectrum.cache_info().misses == 1
 
 
 def test_subcritical_rejects_other_dims():

@@ -10,6 +10,7 @@ import shlex
 import stat
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -212,9 +213,9 @@ def test_validate_fails_on_nan(tmp_path, capsys, monkeypatch):
 
 def test_validate_cap_must_admit_a_family(tmp_path, capsys):
     # 256 is the smallest validation family's N
-    rc = main(["validate", "--oracle-cap", "255", "--output-dir", str(tmp_path / "none")])
-    assert rc == 2
-    assert json.loads(capsys.readouterr().err)["error"]["type"] == "config"
+    err = _usage_error(capsys, ["validate", "--oracle-cap", "255",
+                                "--output-dir", str(tmp_path / "none")])
+    assert "argument --oracle-cap: expected a value in [256, inf], got '255'" in err
     assert not (tmp_path / "none").exists()
     rc = main(["validate", "--oracle-cap", "256", "--output-dir", str(tmp_path / "three")])
     assert rc == 0
@@ -468,32 +469,85 @@ def test_gamma_validation_exit_code(tmp_path, capsys):
     assert os.listdir(tmp_path) == []
 
 
+def _usage_error(capsys, args) -> str:
+    """stderr of a run that argparse rejects with exit code 2."""
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    return capsys.readouterr().err
+
+
 def test_critical_points_checked_before_writing(tmp_path, capsys):
-    rc = main(["critical", "--graph", "lattice:3:6", "--points", "1",
-               "--output-dir", str(tmp_path)])
-    assert rc == 2
-    assert json.loads(capsys.readouterr().err)["error"]["type"] == "config"
+    err = _usage_error(capsys, ["critical", "--graph", "lattice:3:6", "--points", "1",
+                                "--output-dir", str(tmp_path)])
+    assert "argument --points: expected a value in [2, 1000000], got '1'" in err
     assert os.listdir(tmp_path) == []
 
 
 def test_negative_seed_is_a_config_error(tmp_path, capsys):
-    rc = main(["validate", "--seed", "-1", "--output-dir", str(tmp_path)])
-    assert rc == 2
-    error = json.loads(capsys.readouterr().err)["error"]
-    assert error["type"] == "config"
-    assert "--seed" in error["message"] and "-1" in error["message"]
+    err = _usage_error(capsys, ["validate", "--seed", "-1", "--output-dir", str(tmp_path)])
+    assert "argument --seed: expected a value in [0, inf], got '-1'" in err
     assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.parametrize("args", [["scan"], ["critical"], ["evolve", "--gamma", "0.0625"]])
 def test_points_above_cap_are_config_errors(tmp_path, capsys, args):
     # checked before any work; without the cap a grid of 10^14 points fails to allocate
-    rc = main([*args, "--graph", "complete:16", "--points", "100000000000000",
-               "--output-dir", str(tmp_path)])
-    assert rc == 2
-    error = json.loads(capsys.readouterr().err)["error"]
-    assert error["type"] == "config"
-    assert "--points" in error["message"] and "100000000000000" in error["message"]
+    err = _usage_error(capsys, [*args, "--graph", "complete:16", "--points", "100000000000000",
+                                "--output-dir", str(tmp_path)])
+    assert "argument --points: expected a value in [2, 1000000], got '100000000000000'" in err
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("command, flag, rejected, accepted", [
+    (["scan", "--graph", "complete:16"], "--points", ["1", "1000001"], ["2", "1000000"]),
+    (["critical", "--graph", "complete:16"], "--points", ["1", "1000001"], ["2", "1000000"]),
+    (["evolve", "--graph", "complete:16", "--gamma", "1"], "--points", ["1", "1000001"],
+     ["2", "1000000"]),
+    (["validate"], "--seed", ["-1"], ["0"]),
+    (["validate"], "--oracle-cap", ["255"], ["256"]),
+], ids=["scan", "critical", "evolve", "seed", "oracle-cap"])
+def test_parser_range_boundaries(capsys, command, flag, rejected, accepted):
+    # the parser alone: no handler runs
+    parser = _build_parser()
+    for value in accepted:
+        assert int(value) in vars(parser.parse_args([*command, flag, value])).values()
+    for value in rejected:
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args([*command, flag, value])
+        assert exc.value.code == 2
+        assert f"argument {flag}: expected a value in" in capsys.readouterr().err
+
+
+def test_defaults_pass_their_flag_types():
+    # RunConfig's defaults bypass argparse, so each must be a value its flag's type takes
+    defaults = {f.name: f.default for f in fields(RunConfig)}
+    checked = set()
+    for acts in _command_actions().values():
+        for a in acts:
+            if a.type is not None and defaults.get(a.dest) is not None:
+                assert a.type(str(defaults[a.dest])) == defaults[a.dest], a.dest
+                checked.add(a.dest)
+    assert checked == {"points", "time_points", "seed", "oracle_cap"}
+
+
+@pytest.mark.parametrize("label, message", [
+    ("lattice:10:100", "2**63 - 1"),
+    ("lattice:10:60", "847660528 axis-index multisets"),
+], ids=["past-int64", "past-level-cap"])
+def test_oversized_level_build_is_refused_before_allocating(tmp_path, label, message):
+    # in a child whose address space is capped at 1 GB, a build that started
+    # allocating would die with MemoryError (exit 3), not be killed for memory
+    code = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+            "from qwsearch.cli import main; sys.exit(main(sys.argv[1:]))")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "spectrum", "--graph", label, "--gamma", "1",
+         "--output-dir", str(tmp_path)],
+        capture_output=True, text=True, timeout=120, env=_src_env())
+    assert proc.returncode == 2, proc.stderr
+    err = json.loads(proc.stderr)["error"]
+    assert (err["type"], err["graph"]) == ("config", label)
+    assert message in err["message"]
     assert os.listdir(tmp_path) == []
 
 

@@ -185,12 +185,16 @@ def test_inverse_energy_sum_other_powers_rejected():
         inverse_energy_sum(3, 3, 8)
 
 
-def test_constant_table_builds_each_log_law_lattice_once():
-    # the table reads the sums the fit took, so a cold call builds each side once
+def test_constant_table_builds_each_log_law_lattice_once(monkeypatch):
+    # the table reads the sums the fit took, so a cold call builds each side
+    # once, past the one-entry memo, which it leaves alone
+    builds = []
+    _counting(monkeypatch, (level_spectrum,), "__wrapped__", builds)
     log_law_fit.cache_clear()
     level_spectrum.cache_clear()
     build_constant_table()
-    assert level_spectrum.cache_info().misses == len(LOG_LAW_SIDES)
+    assert [g.side for (g,) in builds] == list(LOG_LAW_SIDES)
+    assert level_spectrum.cache_info().misses == 0
 
 
 @pytest.mark.parametrize("j,d,side", [

@@ -18,6 +18,7 @@ from _shared import (
     momentum_grid,
 )
 
+import qwsearch.graphs
 from qwsearch import GraphFamily, level_spectrum, neg_laplacian
 from qwsearch.graphs import LEVEL_GROUP_TOL, parse_graph_spec
 
@@ -153,6 +154,19 @@ def test_lattice_level_build_peak():
     entries = math.comb(1024 // 2 + 2, 2)
     level_spectrum.cache_clear()
     assert _peak_bytes(level_spectrum, graph) < 5.5 * 8 * entries
+
+
+@pytest.mark.parametrize("dim,side", [(1, 7), (2, 8), (3, 5), (4, 4)])
+def test_level_build_cap_boundary(monkeypatch, dim, side):
+    # the build lists each multiset of axis indices 0..L/2 once; a count equal
+    # to the cap builds, and one above it is refused, naming graph, count and cap
+    graph = GraphFamily.lattice(dim, side)
+    count = len(list(itertools.combinations_with_replacement(range(side // 2 + 1), dim)))
+    monkeypatch.setattr(qwsearch.graphs, "MAX_LEVEL_MULTISETS", count)
+    assert level_spectrum.__wrapped__(graph).num_vertices == side**dim
+    monkeypatch.setattr(qwsearch.graphs, "MAX_LEVEL_MULTISETS", count - 1)
+    with pytest.raises(ValueError, match=f"{graph.label()} needs {count} .* cap of {count - 1}"):
+        level_spectrum.__wrapped__(graph)
 
 
 def _distinct_levels(dim, side, dps=30):
