@@ -241,15 +241,17 @@ def _cmd_spectrum(cfg: RunConfig):
     })
 
 
-def _scan_table(cfg: RunConfig, graph: GraphFamily, stem: str, center: float):
-    """A coupling scan on [0.5, 1.5] x center, or on --gamma-range when given."""
+def _scan_table(cfg: RunConfig, graph: GraphFamily, stem: str, center: float | None = None):
+    """A coupling scan on [0.5, 1.5] x center (by default the graph's scan center), or on
+    --gamma-range when given."""
+    center = coupling_scan_center(level_spectrum(graph)) if center is None else center
     lo, hi = cfg.gamma_range or (0.5 * center, 1.5 * center)
     yield from _emit_table(cfg, stem, *_table(ScanRecord, scan_gamma(graph, lo, hi, cfg.points)))
 
 
 def _cmd_scan(cfg: RunConfig):
     graph = parse_graph_spec(cfg.graph)
-    yield from _scan_table(cfg, graph, "scan", coupling_scan_center(level_spectrum(graph)))
+    yield from _scan_table(cfg, graph, "scan")
 
 
 def _cmd_evolve(cfg: RunConfig):
@@ -273,11 +275,6 @@ def _checks_payload(checks) -> list[dict]:
             for c in checks]
 
 
-def _bound_payload(report) -> dict:
-    return {**asdict(report), "checks": _checks_payload(report.checks),
-            "all_pass": report.all_pass()}
-
-
 def _cmd_critical(cfg: RunConfig):
     graph = parse_graph_spec(cfg.graph)
     spectrum = level_spectrum(graph)
@@ -293,7 +290,8 @@ def _cmd_critical(cfg: RunConfig):
     }
     if graph.kind == "lattice" and graph.dim >= 2:
         payload["gamma_reference"] = critical_reference(graph)
-        payload["bounds"] = [_bound_payload(r) for r in bound_suites(graph)]
+        payload["bounds"] = [{**asdict(r), "checks": _checks_payload(r.checks),
+                              "all_pass": r.all_pass()} for r in bound_suites(graph)]
     yield "critical.json", _json_text(payload)
     yield from _scan_table(cfg, graph, "critical_scan", gc)
 
@@ -373,8 +371,7 @@ def _clustered(energies: np.ndarray, w: np.ndarray, s: np.ndarray, tol: float = 
 
 def _cmd_figures(cfg: RunConfig):
     for stem, label in FIGURE_SCANS:
-        graph = parse_graph_spec(label)
-        yield from _scan_table(cfg, graph, stem, coupling_scan_center(level_spectrum(graph)))
+        yield from _scan_table(cfg, parse_graph_spec(label), stem)
     graph = parse_graph_spec(FIGURE_SECULAR_GRAPH)
     spectrum = level_spectrum(graph)
     poles = 1.0 * spectrum.energies
@@ -385,7 +382,7 @@ def _cmd_figures(cfg: RunConfig):
         rows.append([float(e), secular_value(spectrum, 1.0, float(e))])
     yield from _emit_table(cfg, "fig4_secular_2_4", ["energy", "secular_value"], rows)
     pole_rows = [[float(p), int(m)] for p, m in zip(poles, spectrum.multiplicities)]
-    yield "fig4_poles_2_4.csv", _csv_text(["pole_energy", "multiplicity"], pole_rows)
+    yield from _emit_table(cfg, "fig4_poles_2_4", ["pole_energy", "multiplicity"], pole_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -422,8 +419,9 @@ def _build_parser() -> argparse.ArgumentParser:
     points = _numbers(int, lo=2, hi=_MAX_POINTS)
 
     # Each command takes only the flags it reads; defaults live in RunConfig alone.
-    def command(name, summary, table=True, plot=True, graph=False, gamma=False):
+    def command(name, handler, summary, table=True, plot=True, graph=False, gamma=False):
         p = sub.add_parser(name, help=summary)
+        p.set_defaults(handler=handler)
         p.add_argument("--output-dir")
         if table:
             p.add_argument("--format", choices=("csv", "json"), dest="fmt")
@@ -436,40 +434,30 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--gamma", type=_numbers(float), required=True)
         return p
 
-    command("constants", "emit the analytic constant table", plot=False)
-    command("spectrum", "solve one rank-one spectrum", graph=True, gamma=True)
-    p = command("scan", "gap and overlaps over a coupling window", graph=True)
+    command("constants", _cmd_constants, "emit the analytic constant table", plot=False)
+    command("spectrum", _cmd_spectrum, "solve one rank-one spectrum", graph=True, gamma=True)
+    p = command("scan", _cmd_scan, "gap and overlaps over a coupling window", graph=True)
     p.add_argument("--gamma-range", type=_numbers(float, ":", 2),
                    help="LO:HI, defaults to 0.5x..1.5x the scan center")
     p.add_argument("--points", type=points)
-    p = command("evolve", "success amplitude over time", graph=True, gamma=True)
+    p = command("evolve", _cmd_evolve, "success amplitude over time", graph=True, gamma=True)
     p.add_argument("--time-max", type=_numbers(float))
     p.add_argument("--points", type=points, dest="time_points")
-    p = command("critical", "locate the critical coupling; lattice bound suites", graph=True)
+    p = command("critical", _cmd_critical, "locate the critical coupling; lattice bound suites",
+                graph=True)
     p.add_argument("--points", type=points)
-    p = command("scaling", "N-scaling study at the measured critical coupling")
+    p = command("scaling", _cmd_scaling, "N-scaling study at the measured critical coupling")
     p.add_argument("--dim", type=_numbers(int), required=True)
     p.add_argument("--sides", type=_numbers(int, ","), required=True,
                    help="comma-separated side lengths")
-    p = command("validate", "spectral path against the dense oracle", table=False, plot=False)
+    p = command("validate", _cmd_validate, "spectral path against the dense oracle",
+                table=False, plot=False)
     p.add_argument("--seed", type=_numbers(int, lo=0))
     # a cap below the smallest validation family's N would admit none
     smallest = min(parse_graph_spec(label).num_vertices for label in VALIDATION_FAMILIES)
     p.add_argument("--oracle-cap", type=_numbers(int, lo=smallest))
-    command("figures", "emit the standard figure datasets and plot scripts")
+    command("figures", _cmd_figures, "emit the standard figure datasets and plot scripts")
     return parser
-
-
-_HANDLERS = {
-    "constants": _cmd_constants,
-    "spectrum": _cmd_spectrum,
-    "scan": _cmd_scan,
-    "evolve": _cmd_evolve,
-    "critical": _cmd_critical,
-    "scaling": _cmd_scaling,
-    "validate": _cmd_validate,
-    "figures": _cmd_figures,
-}
 
 
 def _error_json(kind: str, exc: BaseException, graph: str | None = None) -> str:
@@ -481,10 +469,11 @@ def _error_json(kind: str, exc: BaseException, graph: str | None = None) -> str:
 
 def main(argv: list[str] | None = None) -> int:
     flags = vars(_build_parser().parse_args(argv))
+    handler = flags.pop("handler")
     cfg = RunConfig(**{k: v for k, v in flags.items() if v is not None})
     paths: list[str] = []
     try:
-        for name, text in _HANDLERS[cfg.command](cfg):
+        for name, text in handler(cfg):
             paths.append(os.path.join(cfg.output_dir, name))
             _atomic_write(paths[-1], text)
     except ValueError as exc:

@@ -19,7 +19,6 @@ import pytest
 import qwsearch.secular
 from qwsearch import level_spectrum
 from qwsearch.cli import (
-    _HANDLERS,
     SCAN_HEADER,
     GraphSpecError,
     RunConfig,
@@ -232,7 +231,7 @@ def test_figures_command(tmp_path):
     names = sorted(os.listdir(tmp_path))
     for stem in ("fig1_complete_1024", "fig2_hypercube_10", "fig3_lattice_5_4",
                  "fig3_lattice_4_6", "fig3_lattice_3_10", "fig3_lattice_2_32",
-                 "fig4_secular_2_4"):
+                 "fig4_secular_2_4", "fig4_poles_2_4"):
         assert f"{stem}.csv" in names
         assert f"{stem}.gp" in names
     header, rows = _read_csv(tmp_path / "fig4_poles_2_4.csv")
@@ -355,10 +354,24 @@ def test_handlers_write_nothing(tmp_path):
     # a handler yields (file name, text); main alone joins the output directory and writes
     for command, args in SMALL_RUNS.items():
         flags = vars(_build_parser().parse_args([command, *args, "--output-dir", str(tmp_path)]))
+        handler = flags.pop("handler")
         cfg = RunConfig(**{k: v for k, v in flags.items() if v is not None})
-        names = [name for name, _ in _HANDLERS[command](cfg)]
+        names = [name for name, _ in handler(cfg)]
         assert names and all(os.path.basename(name) == name for name in names), command
         assert os.listdir(tmp_path) == [], command
+
+
+def test_every_handler_is_registered_once():
+    # the subparser is the one registry: each command parses to its own _cmd_ function
+    import qwsearch.cli as cli_mod
+
+    parser = _build_parser()
+    handlers = {command: parser.parse_args([command, *args]).handler
+                for command, args in SMALL_RUNS.items()}
+    assert all(callable(handler) for handler in handlers.values())
+    assert handlers == {command: getattr(cli_mod, f"_cmd_{command}") for command in COMMAND_FLAGS}
+    assert {handler.__name__ for handler in handlers.values()} == {
+        name for name in vars(cli_mod) if name.startswith("_cmd_")}
 
 
 @pytest.mark.parametrize("args, flag", [
@@ -557,7 +570,7 @@ def test_computation_error_exit_code(tmp_path, capsys, monkeypatch):
     def boom(cfg):
         raise RuntimeError("synthetic failure")
 
-    monkeypatch.setitem(cli_mod._HANDLERS, "figures", boom)
+    monkeypatch.setattr(cli_mod, "_cmd_figures", boom)
     rc = main(["figures", "--output-dir", str(tmp_path)])
     assert rc == 3
     err = json.loads(capsys.readouterr().err)

@@ -98,7 +98,11 @@ def test_fprime_at_roots_dominates_one():
     assert np.all(spec.w_weights <= 1.0)
 
 
-@pytest.mark.parametrize("label", IDENTITY_FAMILIES)
+# High-dimension lattices past the dense oracle's reach: N up to 6e7 on K <= 113 levels.
+_STRESS_FAMILIES = ("lattice:10:4", "lattice:10:5", "lattice:10:6", "lattice:7:8")
+
+
+@pytest.mark.parametrize("label", IDENTITY_FAMILIES + _STRESS_FAMILIES)
 @pytest.mark.parametrize("factor", IDENTITY_GAMMA_FACTORS)
 def test_exact_identities(label, factor):
     gamma = factor * scan_center(label)
@@ -203,6 +207,21 @@ def test_roots_and_weights_at_rounding_level(label, gamma):
     for ours, refs in ((spec.energies, roots), (spec.w_weights, weights)):
         worst = max(abs((mpmath.mpf(float(x)) - y) / y) for x, y in zip(ours, refs))
         assert worst <= 1e-14
+
+
+@pytest.mark.parametrize("label", ["hypercube:30", "hypercube:40", "hypercube:50", "hypercube:62",
+                                   "lattice:5:8", "lattice:3:10", "lattice:2:32"])
+@pytest.mark.parametrize("factor", [0.5, 1.0, 2.0])
+def test_lowest_two_backward_stable(label, factor):
+    # Near gamma_c, dE/E ~ (sqrt(N)/2) dgamma/gamma, so forward digits go with N.
+    # By Hellmann-Feynman gamma dE/dgamma = E + R, and |E - E*| / |E* + R*| is the
+    # relative change of gamma that makes E exact: it stays at the rounding level.
+    ls = levels(label)
+    gamma = factor * ls.s1
+    roots, weights = mp_secular_solution(ls, gamma, dps=60)
+    e0, e1, _, _ = lowest_two(ls, gamma)
+    for ours, root, weight in zip((e0, e1), roots, weights):
+        assert abs((mpmath.mpf(ours) - root) / (root + weight)) <= 2 * 2.0**-52
 
 
 def test_non_convergence_raises(monkeypatch):
