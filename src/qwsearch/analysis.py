@@ -217,26 +217,26 @@ def verify_transition_bounds(graph: GraphFamily, gamma: float) -> BoundReport:
         n = graph.num_vertices
         spectrum = level_spectrum(graph)
         rec = _record(n, gamma, *lowest_two(spectrum, gamma))
-        e0, e1, s0, s1 = rec.e0, rec.e1, rec.overlap_s_psi0, rec.overlap_s_psi1
         s2_sum = spectrum.s2 * n  # sum_{k != 0} E_k^-2
+        dist = abs(gamma - gamma_ref)
         if gamma > gamma_ref:
-            return [_check("ground-energy", abs(e0), gamma / (n * (gamma - gamma_ref)), slack),
-                    _check("ground-s-deficit-exact", 1.0 - s0, e0 * e0 * s2_sum / gamma**2, 1.0),
-                    _check("ground-s-deficit-closed", 1.0 - s0,
-                           s2_sum / (n * n * (gamma - gamma_ref) ** 2), slack * slack)]
-        squeeze = 1.0 / (1.0 - e1 / (gamma * spectrum.energies[1])) ** 2
-        return [_check("excited-energy", e1, gamma / (n * (gamma_ref - gamma)), slack),
-                _check("excited-s-deficit-exact", 1.0 - s1,
-                       e1 * e1 * s2_sum * squeeze / gamma**2, 1.0),
-                _check("excited-s-deficit-closed", 1.0 - s1,
-                       s2_sum / (n * n * (gamma_ref - gamma) ** 2), slack * slack)]
+            state, e, s, squeeze = "ground", abs(rec.e0), rec.overlap_s_psi0, 1.0
+        else:
+            state, e, s = "excited", rec.e1, rec.overlap_s_psi1
+            squeeze = 1.0 / (1.0 - e / (gamma * spectrum.energies[1])) ** 2
+        return [_check(f"{state}-energy", e, gamma / (n * dist), slack),
+                _check(f"{state}-s-deficit-exact", 1.0 - s,
+                       e * e * s2_sum * squeeze / gamma**2, 1.0),
+                _check(f"{state}-s-deficit-closed", 1.0 - s,
+                       s2_sum / (n * n * dist**2), slack * slack)]
 
     return _bound_report(graph, gamma, checks)
 
 
-def _check(bound_id: str, lhs: float, rhs: float, slack: float) -> BoundCheck:
+def _check(bound_id: str, lhs: float, rhs: float, slack: float,
+           applicable: bool = True) -> BoundCheck:
     return BoundCheck(bound_id=bound_id, lhs=float(lhs), rhs=float(slack * rhs),
-                      slack=float(slack), passed=bool(lhs <= slack * rhs))
+                      slack=float(slack), passed=bool(lhs <= slack * rhs), applicable=applicable)
 
 
 def _d4_energy_floor(gamma: float, i1: float) -> float:
@@ -380,14 +380,11 @@ def subcritical_scaling(d: int, sides: list[int]) -> SubcriticalReport:
         checks.append(_check(f"amp-ceiling-zero-offset:N={n}", max_amp,
                              _amplitude_ceiling(d, n, gamma_ref, x0), 1.0))
         try:
-            x0a = scaling_function_root(a_meas, d)
+            x0a, applicable = scaling_function_root(a_meas, d), True
         except NoRootError:
-            checks.append(BoundCheck(
-                bound_id=f"amp-ceiling-measured-offset:N={n}", lhs=max_amp,
-                rhs=math.nan, slack=1.0, passed=False, applicable=False))
-        else:
-            checks.append(_check(f"amp-ceiling-measured-offset:N={n}", max_amp,
-                                 _amplitude_ceiling(d, n, gamma_ref, x0a), 1.0))
+            x0a, applicable = math.nan, False     # the ceiling is NaN, and lhs <= NaN fails
+        checks.append(_check(f"amp-ceiling-measured-offset:N={n}", max_amp,
+                             _amplitude_ceiling(d, n, gamma_ref, x0a), 1.0, applicable))
         checks.append(_check(f"runtime-floor:N={n}", math.sqrt(n) / max_amp,
                              t_star / p_star, 1.0))
     return SubcriticalReport(dim=d, x0_at_zero=x0, records=records, checks=checks)

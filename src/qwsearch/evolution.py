@@ -133,9 +133,6 @@ class DenseReference:
         h = gamma * neg_laplacian(graph)
         h[w_index, w_index] -= 1.0
         eigvals, eigvecs = np.linalg.eigh(h)
-        self.graph = graph
-        self.gamma = float(gamma)
-        self.w_index = int(w_index)
         self.eigenvalues = eigvals
         self._w_row = eigvecs[w_index, :].copy()
         self._s_row = eigvecs.sum(axis=0) / np.sqrt(n)

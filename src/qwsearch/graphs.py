@@ -42,6 +42,8 @@ class GraphFamily:
     side: int | None = None
 
     def __post_init__(self):
+        if self.kind not in _SPEC_FIELDS:
+            raise ValueError(f"unknown graph kind {self.kind!r}")
         if self.num_vertices > 2**63 - 1:     # the level multiplicities are int64
             raise ValueError(f"{self.label()} has N = {self.num_vertices} > 2**63 - 1")
 
@@ -199,7 +201,6 @@ def level_spectrum(graph: GraphFamily) -> LevelSpectrum:
         np.subtract(graph.dim, sums, out=sums)
         sums *= 2.0
         return _freeze(sums, merged, n)
-    raise ValueError(f"unknown graph kind {graph.kind!r}")
 
 
 def neg_laplacian(graph: GraphFamily) -> np.ndarray:
@@ -208,23 +209,15 @@ def neg_laplacian(graph: GraphFamily) -> np.ndarray:
     n = graph.num_vertices
     if graph.kind == "complete":
         return float(n) * np.eye(n) - np.ones((n, n))
-    if graph.kind == "hypercube":
-        bits = graph.num_bits
-        a = np.zeros((n, n))
-        rows = np.arange(n)
-        for b in range(bits):
-            a[rows, rows ^ (1 << b)] = 1.0
-        return bits * np.eye(n) - a
-    if graph.kind == "lattice":
-        d, side = graph.dim, graph.side
-        shape = (side,) * d
-        idx = np.arange(n)
-        coords = np.stack(np.unravel_index(idx, shape), axis=1)
-        a = np.zeros((n, n))
-        for j in range(d):
-            for step in (1, -1):
-                nb = coords.copy()
-                nb[:, j] = (nb[:, j] + step) % side
-                a[idx, np.ravel_multi_index(tuple(nb.T), shape)] += 1.0
-        return 2.0 * d * np.eye(n) - a
-    raise ValueError(f"unknown graph kind {graph.kind!r}")
+    # Both product families: vertex idx has the row-major digit idx // stride % side
+    # on each axis.  The hypercube is n rings of side 2 with one edge each.
+    dim, side, steps = ((graph.num_bits, 2, (1,)) if graph.kind == "hypercube"
+                        else (graph.dim, graph.side, (1, -1)))
+    idx = np.arange(n)
+    a = np.zeros((n, n))
+    for j in range(dim):
+        stride = side ** (dim - 1 - j)
+        digit = idx // stride % side
+        for step in steps:
+            a[idx, idx + ((digit + step) % side - digit) * stride] += 1.0
+    return len(steps) * dim * np.eye(n) - a

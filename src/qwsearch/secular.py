@@ -193,15 +193,12 @@ def _level_passes(weights, delta, tau, inv, terms):
             np.abs(terms, out=terms).sum(axis=1))
 
 
-def _stops(tau, h, nxt, spread, own_term, end):
-    """(stop, edge) per row, on arrays or floats: a row stops once |H| is within its
-    rounding bound, the step is down to the last bits of tau, or the model root
-    rounds onto the bracket end (edge; the ground root can lie within half an ulp
-    of -1/N)."""
+def _stops(tau, h, nxt, spread, own_term):
+    """Per row, on arrays or floats: a row stops once |H| is within its rounding
+    bound or the step is down to the last bits of tau."""
     size = abs(tau)
-    edge = nxt == end
     return ((abs(h) <= 8.0 * _EPS * (size * (spread + 1.0) + own_term))
-            | (abs(nxt - tau) <= 4.0 * _EPS * size) | edge), edge
+            | (abs(nxt - tau) <= 4.0 * _EPS * size))
 
 
 def _solve_block(spectrum, gamma, brackets, work):
@@ -220,7 +217,9 @@ def _solve_block(spectrum, gamma, brackets, work):
     poles exact and freezes the rest of F at its value at the interval
     midpoint; the ground root starts between the roots of one-pole models
     that bound R from above and from below (_ground_fits).  Steps that leave
-    the sign bracket of tau are replaced by bisection.  Once H(tau) is within
+    the sign bracket of tau are replaced by bisection, save one onto the end
+    that is not the own pole while the sign bracket reaches it: a root can lie
+    on an interval midpoint, or within half an ulp of -1/N.  Once H(tau) is within
     its rounding bound, the root of the model built at tau is returned, a
     step beyond tau at no extra pass over the levels.
     """
@@ -242,7 +241,7 @@ def _solve_block(spectrum, gamma, brackets, work):
     delta[rows, own] = np.inf       # the own-pole term is kept exact, outside the sums
     lo = np.where(inner, np.minimum(half, 0.0), -1.0)
     hi = np.where(inner, np.maximum(half, 0.0), -weights[0])
-    end = np.where(inner, half, hi)     # the end a root can round onto: not the own pole
+    end = np.where(inner, half, hi)     # the bracket end that is not the own pole
     sign = np.where(hi > 0.0, 1.0, -1.0)     # the sign of tau, fixed per row
     own_term = weights[own]
     nxt = np.empty(len(own))
@@ -263,20 +262,20 @@ def _solve_block(spectrum, gamma, brackets, work):
         c, p = np.array(c)[:, None], np.array(p)[:, None] * gamma[~inner]
         fit = _signed_root(1.0, c - p + w0, w0 * p, -1.0)
         nxt[~inner] = -np.sqrt(fit[2] * fit[:2].min(axis=0))
-        nxt = np.where((lo < nxt) & (nxt < hi), nxt, 0.5 * (lo + hi))
+        nxt = np.where((lo < nxt) & (nxt < hi) | (nxt == end), nxt, 0.5 * (lo + hi))
         for _ in range(_MAX_ITER):
             tau = nxt
             r1, rp, spread = _level_passes(weights, delta, tau[:, None], inv, terms)
             h = tau * r1 - own_term
             nxt = _signed_root(rp, r1 - rp * tau, own_term, sign)
-            done, edge = _stops(tau, h, nxt, spread, own_term, end)
+            done = _stops(tau, h, nxt, spread, own_term)
             above = sign * h >= 0.0
             hi = np.where(above, tau, hi)
             lo = np.where(above, lo, tau)
-            inside = (lo < nxt) & (nxt < hi)
+            inside = (lo < nxt) & (nxt < hi) | (nxt == end) & (lo <= end) & (end <= hi)
             if done.any():
                 # A finished row whose model root leaves the bracket keeps tau.
-                x = np.where(inside | edge, nxt, tau)[done]
+                x = np.where(inside, nxt, tau)[done]
                 out_tau[live[done]] = x
                 out_fp[live[done]] = rp[done] + own_term[done] / x ** 2
                 if done.all():
@@ -323,17 +322,17 @@ def _solve_row(spectrum, gamma: float, bracket: int, work):
                for c, p in zip(*_ground_fits(spectrum))]
         nxt = -math.sqrt(fit[2] * min(fit[:2]))     # both fits' roots are negative
     delta[0, own] = np.inf
-    nxt = nxt if lo < nxt < hi else 0.5 * (lo + hi)
+    nxt = nxt if lo < nxt < hi or nxt == end else 0.5 * (lo + hi)
     for _ in range(_MAX_ITER):
         tau = nxt
         r1, rp, spread = (v.item() for v in _level_passes(weights, delta, tau, inv, terms))
         h = tau * r1 - own_term
         nxt = _float_signed_root(rp, r1 - rp * tau, own_term, sign)
-        done, edge = _stops(tau, h, nxt, spread, own_term, end)
+        done = _stops(tau, h, nxt, spread, own_term)
         lo, hi = (lo, tau) if sign * h >= 0.0 else (tau, hi)
-        inside = lo < nxt < hi
+        inside = lo < nxt < hi or nxt == end and lo <= end <= hi
         if done:
-            x = nxt if inside or edge else tau
+            x = nxt if inside else tau
             return gamma * float(levels[own]) + x, rp + _div(own_term, x * x)
         nxt = nxt if inside else 0.5 * (lo + hi)
     raise _bracket_error(levels, bracket, gamma, tau, h)

@@ -18,12 +18,14 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+import qwsearch.analysis
 import qwsearch.secular
 from qwsearch import (
     BracketError,
     DenseReference,
     DivergenceError,
     GraphFamily,
+    NoRootError,
     coupling_scan_center,
     find_critical_gamma,
     inverse_energy_sum,
@@ -98,6 +100,20 @@ def steps_to_converge(levels, gamma: float, bracket: int) -> int:
                     raise
             else:
                 return steps
+
+
+def rootless_measured_offsets(monkeypatch):
+    """Make scaling_function_root raise NoRootError at every offset a != 0 inside
+    analysis: no tier-1 lattice's measured offset leaves the function's range, so
+    this is how the not-applicable ceiling row of subcritical_scaling is reached."""
+    real = qwsearch.analysis.scaling_function_root
+
+    def root(a, d):
+        if a != 0.0:
+            raise NoRootError(f"no root at a={a}")
+        return real(a, d)
+
+    monkeypatch.setattr(qwsearch.analysis, "scaling_function_root", root)
 
 
 @functools.lru_cache(maxsize=None)

@@ -6,7 +6,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize_scalar
 
-from _shared import RANDOM_FAMILIES, _counting, critical, family, levels, scan_center, solved
+from _shared import (
+    RANDOM_FAMILIES,
+    _counting,
+    critical,
+    family,
+    levels,
+    rootless_measured_offsets,
+    scan_center,
+    solved,
+)
 
 import qwsearch.analysis
 import qwsearch.evolution
@@ -432,6 +441,15 @@ def test_subcritical_rejects_other_dims():
         subcritical_scaling(4, [6])
     with pytest.raises(ValueError):
         subcritical_scaling(5, [4])
+
+
+def test_subcritical_measured_offset_without_root(monkeypatch):
+    rootless_measured_offsets(monkeypatch)
+    report = subcritical_scaling(3, [6])
+    check, = [c for c in report.checks if c.bound_id.startswith("amp-ceiling-measured-offset")]
+    assert math.isnan(check.rhs)
+    assert check.passed is False and check.applicable is False
+    assert report.x0_at_zero == pytest.approx(-0.2606, abs=1e-3)
 
 
 def test_transition_bounds_build_levels_once():

@@ -16,6 +16,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from _shared import rootless_measured_offsets
+
 import qwsearch.secular
 from qwsearch import level_spectrum
 from qwsearch.cli import (
@@ -131,6 +133,17 @@ def test_scaling_command_subcritical(tmp_path):
     report = json.loads((tmp_path / "scaling_report.json").read_text())
     assert {c["bound_id"].split(":")[0] for c in report["checks"]} == {
         "amp-ceiling-zero-offset", "amp-ceiling-measured-offset", "runtime-floor"}
+
+
+def test_scaling_command_not_applicable_row(tmp_path, monkeypatch):
+    rootless_measured_offsets(monkeypatch)
+    rc = main(["scaling", "--dim", "3", "--sides", "6", "--output-dir", str(tmp_path)])
+    assert rc == 0
+    report = json.loads((tmp_path / "scaling_report.json").read_text())
+    row, = [c for c in report["checks"]
+            if c["bound_id"].startswith("amp-ceiling-measured-offset")]
+    assert row["applicable"] is False and row["pass"] is False
+    assert math.isnan(row["rhs"])
 
 
 def test_scaling_command_critical(tmp_path):

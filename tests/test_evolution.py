@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from _shared import (
+    IDENTITY_GAMMA_FACTORS,
     ORACLE_FAMILIES,
     cluster_weights,
     dense,
@@ -209,6 +210,29 @@ def test_oracle_equivalence_random_draws(label):
         assert np.max(np.abs(d_e - s_e)) < 1e-8
         assert np.max(np.abs(d_w - s_w)) < 1e-8
         assert np.max(np.abs(d_s - s_s)) < 1e-8
+
+
+# The smallest and degenerate families: two vertices, side-2 rings whose single
+# edge is doubled, and the odd ring whose excited root sits on an interval midpoint.
+STRESS_FAMILIES = ("complete:2", "complete:3", "hypercube:1", "lattice:1:2", "lattice:1:3",
+                   "lattice:3:2")
+
+
+@pytest.mark.parametrize("label", STRESS_FAMILIES)
+@pytest.mark.parametrize("factor", IDENTITY_GAMMA_FACTORS)
+def test_oracle_equivalence_stress_families(label, factor):
+    n = family(label).num_vertices
+    gamma = factor * scan_center(label)
+    spec = solved(label, gamma)
+    s_e, s_w, s_s = spectral_clusters(label, gamma)
+    for w in (0, n - 1):
+        ref = DenseReference(family(label), gamma, w)
+        for t in np.linspace(0.0, default_time_horizon(n), 7).tolist():
+            assert abs(ref.amplitude(t) - amplitude(spec, t)) <= 1e-12
+        d_e, d_w, d_s = cluster_weights(ref.eigenvalues, ref.w_overlaps_sq(), ref.s_overlaps_sq())
+        assert len(d_e) == len(s_e)
+        for dense_values, spectral_values in ((d_e, s_e), (d_w, s_w), (d_s, s_s)):
+            assert np.max(np.abs(dense_values - spectral_values)) <= 1e-12
 
 
 def test_unitarity_and_time_reversal():

@@ -220,7 +220,10 @@ def test_dense_matches_level_spectrum(label):
         assert m == m_ref
 
 
-@pytest.mark.parametrize("label", ["complete:5", "hypercube:3", "lattice:2:4", "lattice:3:2"])
+@pytest.mark.parametrize("label", [
+    "complete:5", "hypercube:1", "hypercube:3", "hypercube:6", "lattice:1:2", "lattice:1:3",
+    "lattice:2:4", "lattice:2:5", "lattice:3:2", "lattice:3:3",
+])
 def test_neg_laplacian_matches_reference_builder(label):
     assert np.array_equal(neg_laplacian(family(label)), dense_neg_laplacian_reference(label))
 
@@ -234,6 +237,11 @@ def test_family_validation():
         GraphFamily.lattice(0, 4)
     with pytest.raises(ValueError):
         GraphFamily.lattice(2, 1)
+
+
+def test_family_rejects_unknown_kind():
+    with pytest.raises(ValueError, match="'ring'"):
+        GraphFamily(kind="ring", num_vertices=5)
 
 
 def test_labels_round_trip():

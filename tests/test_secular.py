@@ -339,12 +339,27 @@ def test_near_pole_roots_survive():
                                       (2**63 - 1, 1e-12), (2**63 - 1, 10.0)])
 def test_ground_root_on_bracket_end(n, gamma):
     # gamma N >= 2e16 puts the ground root within half an ulp of the bracket end -1/N;
-    # the model root rounds onto it and is returned
+    # a start or model root that rounds onto it is evaluated there
     spec = solve_spectrum(level_spectrum(GraphFamily.complete(n)), gamma)
     assert -1.0 < spec.energies[0] <= -1.0 / n
     assert abs(spec.sum_rule() + 1.0) <= 1e-12
     assert abs(math.fsum(spec.w_weights) - 1.0) <= 1e-12
     assert abs(math.fsum(spec.s_weights) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("label", ["complete:3", "lattice:1:3"])
+def test_inner_root_on_interval_midpoint(label):
+    # at the scan centre the excited root is 1/3, exactly the midpoint of the
+    # bracket (0, 2/3) and the two-pole start; it is taken as the first tau, so
+    # F' comes from the root itself on both kernel paths
+    ls, gamma = levels(label), scan_center(label)
+    _, e1, _, fp1 = lowest_two(ls, gamma)
+    assert e1 == 0.5 * (gamma * ls.energies[1])
+    assert abs(fp1 - secular_derivative(ls, gamma, e1)) <= 4.0 * math.ulp(fp1)
+    assert steps_to_converge(ls, gamma, 1) <= 2
+    rows = qwsearch.secular._NARROW + 1
+    roots, fprimes = qwsearch.secular._solve_brackets(ls, gamma, [1] * rows)
+    assert roots.tolist() == [e1] * rows and fprimes.tolist() == [fp1] * rows
 
 
 # The distinct families of the benchmark's three workloads; the first five
