@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._util import _EPS
+
 # Two lattice levels are one when their energies differ by at most this fraction
 # of the bandwidth 4d.  In units of eps*4d against 30-digit levels, equal levels
 # differ by at most 1.00 in the build's summation order (at lattice:4:100) and 0.8
@@ -29,6 +31,19 @@ LEVEL_GROUP_TOL = 16 * np.finfo(float).eps
 # peak of about 41 bytes each (5.4 MB for the 131841 of lattice:2:1024), 2^24 is
 # about 0.7 GB, far above the largest builds in use, 4:100 and 2:2048 (5.3e5).
 MAX_LEVEL_MULTISETS = 1 << 24
+# Above this many levels the secular kernel sums the levels from a cut on by
+# their moments.  It is the most levels at which secular._solve_block can run
+# (2^16 // 13108 = 4 rows = secular._NARROW), so the far field meets only the
+# row path, and the two paths stay bitwise equal wherever both can run.
+FAR_FIELD_LEVELS = 13107
+# The cut E_c is the first level at or above 1/16 of the top one, and the far
+# levels' series in x = E/gamma serves |x| <= rho E_c, rho = FAR_RADIUS.  With
+# |x/E_k| <= r <= rho, J terms leave out at most r^J (1+r)/(1-r) of a far term
+# and (J+1) r^J c^2 of its derivative, c = (1+rho)/(1-rho): FAR_TERMS = 21 puts
+# both under eps/8 at r = rho, and higher levels need fewer terms.
+FAR_CUT, FAR_RADIUS = 1 / 16, 1 / 8
+_FAR_GROWTH = 8.0 * ((1 + FAR_RADIUS) / (1 - FAR_RADIUS))**2 / _EPS
+FAR_TERMS = next(j for j in range(1, 100) if (j + 1) * FAR_RADIUS**j * _FAR_GROWTH <= 1.0)
 
 
 @dataclass(frozen=True)
@@ -104,7 +119,10 @@ class LevelSpectrum:
 
     The secular kernel's coupling-free inputs come with the levels: the weights
     w_k = m_k/N and, over k >= 1, the moments s1 = sum w_k/E_k (the scan
-    center), s2 = sum w_k/E_k^2 and m1 = sum w_k E_k.
+    center), s2 = sum w_k/E_k^2 and m1 = sum w_k E_k.  Above FAR_FIELD_LEVELS
+    levels, far_moments holds mu_j = sum w_k/E_k^(j+1) over the levels from
+    far_start on, j = 0..FAR_TERMS, and far_radius is FAR_RADIUS times the
+    level at far_start; elsewhere far_start is K and far_moments empty.
     """
 
     energies: np.ndarray
@@ -114,6 +132,9 @@ class LevelSpectrum:
     s1: float
     s2: float
     m1: float
+    far_start: int
+    far_radius: float
+    far_moments: tuple
 
     @property
     def num_levels(self) -> int:
@@ -133,12 +154,29 @@ def _freeze(energies: np.ndarray, multiplicities: np.ndarray, num_vertices: int)
     terms = multiplicities[1:] / energies[1:]
     s1 = float(np.sum(terms)) / num_vertices
     terms /= energies[1:]
+    s2 = float(np.sum(terms)) / num_vertices
+    far_start, far_radius, moments = len(energies), 0.0, []
+    if len(energies) > FAR_FIELD_LEVELS:
+        far_start = int(np.searchsorted(energies, FAR_CUT * energies[-1]))
+        far_radius = FAR_RADIUS * float(energies[far_start])
+        # The far terms reuse the tail of the moment workspace.  Term j >= 2
+        # counts only while j r^(j-1) c^2 > eps/8, r = far_radius/E_k, so each
+        # moment sums a shorter prefix of the far levels (half the work).
+        inverse = 1.0 / energies[far_start:]
+        far = np.multiply(weights[far_start:], inverse, out=terms[far_start - 1:])
+        for j in range(FAR_TERMS + 1):
+            if j > 1:
+                top = far_radius * (j * _FAR_GROWTH) ** (1 / (j - 1))
+                far = far[:np.searchsorted(energies[far_start:], top)]
+                inverse = inverse[:len(far)]
+            moments.append(float(np.sum(far)))
+            far *= inverse
     for arr in (energies, multiplicities, weights):
         arr.setflags(write=False)
     return LevelSpectrum(energies=energies, multiplicities=multiplicities,
-                         num_vertices=int(num_vertices), weights=weights, s1=s1,
-                         s2=float(np.sum(terms)) / num_vertices,
-                         m1=float(weights[1:] @ energies[1:]))
+                         num_vertices=int(num_vertices), weights=weights, s1=s1, s2=s2,
+                         m1=float(weights[1:] @ energies[1:]), far_start=far_start,
+                         far_radius=far_radius, far_moments=tuple(moments))
 
 
 # One entry: a computation asks for one graph's levels from several layers, and

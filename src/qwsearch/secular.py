@@ -103,6 +103,8 @@ def _solve_brackets(spectrum: LevelSpectrum, gamma, brackets) -> tuple[np.ndarra
     _NARROW rows step each row on Python floats (_solve_row), and wider
     blocks of at most _BLOCK entries go to _solve_block, with the same IEEE
     operations in the same order, so both paths return bitwise-equal roots.
+    Only rows step where K > graphs.FAR_FIELD_LEVELS, and there _solve_row sums
+    the far levels by their moments near x = E/gamma = 0.
     """
     brackets = np.asarray(brackets, dtype=int)
     gammas = np.full(brackets.shape, gamma, dtype=float)
@@ -291,22 +293,51 @@ def _solve_block(spectrum, gamma, brackets, work):
     raise _bracket_error(levels, int(brackets[live[0]]), float(gamma[live[0]]), tau[0], h[0])
 
 
+def _far_sums(spectrum, gamma: float, x: float):
+    """R and R' of the levels from far_start on at E = gamma*x, |x| <= far_radius.
+
+    Each far term w_k/(gamma (E_k - x)) is sum_j w_k x^j / (gamma E_k^(j+1)), so
+    R = sum_j x^j mu_j / gamma and R' = sum_j (j+1) x^j mu_(j+1) / gamma^2, by
+    Horner over the level moments mu_j (graphs.FAR_TERMS bounds the remainders).
+    """
+    mu = spectrum.far_moments
+    value = slope = 0.0
+    for j in range(len(mu) - 2, -1, -1):
+        value = value * x + mu[j]
+        slope = slope * x + (j + 1) * mu[j + 1]
+    return value / gamma, slope / (gamma * gamma)
+
+
 def _solve_row(spectrum, gamma: float, bracket: int, work):
     """One row of _solve_brackets on Python floats; work holds three (1, K) rows.
 
     _solve_block's algorithm with each of its operations on the row done as
     the same IEEE operation in the same order, so the root and F' are bitwise
     equal; the passes over the levels are the same numpy calls on one row.
+    Levels with a far field (more than graphs.FAR_FIELD_LEVELS, where
+    _solve_block never runs) split at far_start: in a bracket below it, at a
+    point x = E/gamma with |x| <= far_radius, the passes run over the levels
+    below far_start and _far_sums adds the rest, R also to the spread of the
+    stopping bound.  Elsewhere they run over all levels, whose pole distances
+    from far_start on are formed the first time they are needed.
     """
     levels, weights = spectrum.energies, spectrum.weights
     delta, inv, terms = work
+    size = len(levels)
+    cut = spectrum.far_start if bracket < spectrum.far_start else size
+    radius = spectrum.far_radius
     own = bracket
     if bracket > 0:
         centre = 0.5 * (float(levels[bracket - 1]) + float(levels[bracket]))
-        dist = _pole_distances(gamma, levels, centre, inv)
-        f_mid = np.divide(weights, dist, out=dist).sum(axis=1).item()
+        upto = cut if abs(centre) <= radius else size
+        dist = _pole_distances(gamma, levels[:upto], centre, inv[:, :upto])
+        f_mid = np.divide(weights[:upto], dist, out=dist).sum(axis=1).item()
+        if upto < size:
+            f_mid += _far_sums(spectrum, gamma, centre)[0]
         own -= f_mid >= 1.0
-    _pole_distances(gamma, levels, float(levels[own]), delta)
+    origin = float(levels[own])
+    _pole_distances(gamma, levels[:cut], origin, delta[:, :cut])
+    formed = cut    # delta holds the pole distances of the levels below this
     own_term = float(weights[own])
     if bracket > 0:
         other = bracket if own < bracket else bracket - 1
@@ -325,7 +356,16 @@ def _solve_row(spectrum, gamma: float, bracket: int, work):
     nxt = nxt if lo < nxt < hi or nxt == end else 0.5 * (lo + hi)
     for _ in range(_MAX_ITER):
         tau = nxt
-        r1, rp, spread = (v.item() for v in _level_passes(weights, delta, tau, inv, terms))
+        if cut < size and abs(at := origin + tau / gamma) <= radius:
+            r1, rp, spread = (v.item() for v in _level_passes(
+                weights[:cut], delta[:, :cut], tau, inv[:, :cut], terms[:, :cut]))
+            far, far_slope = _far_sums(spectrum, gamma, at)
+            r1, rp, spread = r1 + far, rp + far_slope, spread + far
+        else:
+            if formed < size:
+                _pole_distances(gamma, levels[formed:], origin, delta[:, formed:])
+                formed = size
+            r1, rp, spread = (v.item() for v in _level_passes(weights, delta, tau, inv, terms))
         h = tau * r1 - own_term
         nxt = _float_signed_root(rp, r1 - rp * tau, own_term, sign)
         done = _stops(tau, h, nxt, spread, own_term)
@@ -333,7 +373,7 @@ def _solve_row(spectrum, gamma: float, bracket: int, work):
         inside = lo < nxt < hi or nxt == end and lo <= end <= hi
         if done:
             x = nxt if inside else tau
-            return gamma * float(levels[own]) + x, rp + _div(own_term, x * x)
+            return gamma * origin + x, rp + _div(own_term, x * x)
         nxt = nxt if inside else 0.5 * (lo + hi)
     raise _bracket_error(levels, bracket, gamma, tau, h)
 

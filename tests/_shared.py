@@ -19,6 +19,7 @@ import pytest
 from hypothesis import strategies as st
 
 import qwsearch.analysis
+import qwsearch.graphs
 import qwsearch.secular
 from qwsearch import (
     BracketError,
@@ -124,6 +125,15 @@ def family(label: str) -> GraphFamily:
 @functools.lru_cache(maxsize=None)
 def levels(label: str):
     return level_spectrum(family(label))
+
+
+@functools.lru_cache(maxsize=None)
+def levels_without_far_field(label: str):
+    """The levels of `label` built with the far field switched off, so that the
+    secular kernel passes over every level at every step."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(qwsearch.graphs, "FAR_FIELD_LEVELS", math.inf)
+        return level_spectrum.__wrapped__(family(label))
 
 
 @functools.lru_cache(maxsize=None)
@@ -298,17 +308,22 @@ def group_close(values: np.ndarray, tol: float):
 # Extended-precision secular oracle (never uses qwsearch.secular)
 # ---------------------------------------------------------------------------
 
-def mp_secular_solution(levels, gamma: float, dps: int = 40):
-    """Every root of F(E) = 1 with its weight 1/F'(E), at `dps` digits.
+def mp_secular_solution(levels, gamma: float, dps: int = 40, count: int | None = None):
+    """Every root of F(E) = 1 with its weight 1/F'(E), at `dps` digits; with
+    `count`, only the lowest `count` roots.
 
     F(E) = (1/N) sum_k m_k / (gamma E_k - E) is built from the level energies
     and multiplicities alone, with the poles gamma*E_k formed exactly.  Each
     bracket, (-2, 0) for the ground root (F(-2) <= 1/2) and then every open
     interval between adjacent poles, is bisected until its width is 1e-4 of
     the distance to the nearer pole; Newton then converges quadratically to
-    within 1e-30 of that distance, or to the working precision of E.  The
-    arithmetic is the standard library's decimal (C-backed; mpmath runs in
-    pure Python without gmpy2).  Returns (roots, weights) as lists of mpf.
+    within 1e-30 of that distance, or to the working precision of E.  A
+    Newton step that leaves the bisection bracket is held at its end: a root
+    can lie within rounding of a bisection point (on `complete:3` at the scan
+    center it is the midpoint 1/3), and Newton from inside then overshoots
+    it.  Only a pole may not be reached.  The arithmetic is the standard
+    library's decimal (C-backed; mpmath runs in pure Python without gmpy2).
+    Returns (roots, weights) as lists of mpf.
     """
     D = decimal.Decimal
     exact = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
@@ -326,15 +341,18 @@ def mp_secular_solution(levels, gamma: float, dps: int = 40):
                 fp += t / (p - e)
             return f / n - 1, fp / n
 
+        def f_minus_one(e):     # F - 1 alone, in the same order, for the bisection
+            return sum(m / (p - e) for p, m in zip(poles, mults)) / n - 1
+
         floor = D(10) ** (4 - dps)
-        brackets = [(D(-2), poles[0])] + list(zip(poles[:-1], poles[1:]))
+        brackets = ([(D(-2), poles[0])] + list(zip(poles[:-1], poles[1:])))[:count]
         roots, weights = [], []
         for i, (a, b) in enumerate(brackets):
             lo, hi = a, b
             # The ground bracket's lower end is not a pole.
             while hi - lo > D("1e-4") * (b - hi if i == 0 else min(lo - a, b - hi)):
                 mid = (lo + hi) / 2
-                if f_and_fprime(mid)[0] >= 0:
+                if f_minus_one(mid) >= 0:
                     hi = mid
                 else:
                     lo = mid
@@ -342,9 +360,9 @@ def mp_secular_solution(levels, gamma: float, dps: int = 40):
             for _ in range(20):
                 f, fp = f_and_fprime(e)
                 step = f / fp
-                e -= step
-                if not lo < e < hi:
-                    raise ArithmeticError(f"bracket {i}: Newton left ({lo}, {hi})")
+                e = min(max(e - step, lo), hi)
+                if e == b or i > 0 and e == a:
+                    raise ArithmeticError(f"bracket {i}: Newton reached the pole {e}")
                 if abs(step) <= max(D("1e-30") * min(e - a, b - e), floor * abs(e)):
                     break
             else:

@@ -12,6 +12,7 @@ from _shared import (
     critical,
     family,
     levels,
+    levels_without_far_field,
     rootless_measured_offsets,
     scan_center,
     solved,
@@ -434,6 +435,30 @@ def test_critical_search_and_bound_suites_build_levels_once():
     find_critical_gamma(graph)
     bound_suites(graph)
     assert level_spectrum.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("label", ["lattice:5:40", "lattice:3:128"])
+def test_critical_search_and_bounds_across_far_field(label, monkeypatch):
+    # the far levels summed by their moments move gamma_c by at most 2e-15
+    # relative and change no transition-bound verdict; an energy moves by at
+    # most 1e-12 of itself, and a deficit 1 - |<s|psi>|^2 by 1e-12 of the
+    # overlap it is taken from (one ulp of an overlap near 1 is 4e-9 of a
+    # deficit of 5.6e-8 at lattice:5:40)
+    graph = family(label)
+    gamma_ref = critical_reference(graph)
+    runs = []
+    for spectrum in (levels(label), levels_without_far_field(label)):
+        monkeypatch.setattr(qwsearch.analysis, "level_spectrum", lambda g: spectrum)
+        runs.append((find_critical_gamma(graph),
+                     [verify_transition_bounds(graph, f * gamma_ref).checks for f in (0.5, 2.0)]))
+    (on, on_checks), (off, off_checks) = runs
+    assert levels(label).far_start < levels(label).num_levels
+    assert abs(on - off) <= 2e-15 * off
+    for on_side, off_side in zip(on_checks, off_checks):
+        assert [c.passed for c in on_side] == [c.passed for c in off_side]
+        for a, b in zip(on_side, off_side):
+            scale = 1.0 - b.lhs if "deficit" in b.bound_id else b.lhs
+            assert a.bound_id == b.bound_id and abs(a.lhs - b.lhs) <= 1e-12 * scale
 
 
 def test_subcritical_rejects_other_dims():

@@ -1,3 +1,4 @@
+import decimal
 import math
 import re
 
@@ -13,6 +14,7 @@ from _shared import (
     _peak_bytes,
     ground_and_gap,
     levels,
+    levels_without_far_field,
     mp_secular_solution,
     mp_solved,
     scan_center,
@@ -20,6 +22,7 @@ from _shared import (
     steps_to_converge,
 )
 
+import qwsearch.graphs
 import qwsearch.secular
 from qwsearch import (
     BracketError,
@@ -210,15 +213,16 @@ def test_roots_and_weights_at_rounding_level(label, gamma):
 
 
 @pytest.mark.parametrize("label", ["hypercube:30", "hypercube:40", "hypercube:50", "hypercube:62",
-                                   "lattice:5:8", "lattice:3:10", "lattice:2:32"])
+                                   "lattice:5:8", "lattice:3:10", "lattice:2:32", "lattice:5:40"])
 @pytest.mark.parametrize("factor", [0.5, 1.0, 2.0])
 def test_lowest_two_backward_stable(label, factor):
     # Near gamma_c, dE/E ~ (sqrt(N)/2) dgamma/gamma, so forward digits go with N.
     # By Hellmann-Feynman gamma dE/dgamma = E + R, and |E - E*| / |E* + R*| is the
     # relative change of gamma that makes E exact: it stays at the rounding level.
+    # lattice:5:40 (K = 31979) sums its far levels by their moments.
     ls = levels(label)
     gamma = factor * ls.s1
-    roots, weights = mp_secular_solution(ls, gamma, dps=60)
+    roots, weights = mp_secular_solution(ls, gamma, dps=60, count=2)
     e0, e1, _, _ = lowest_two(ls, gamma)
     for ours, root, weight in zip((e0, e1), roots, weights):
         assert abs((mpmath.mpf(ours) - root) / (root + weight)) <= 2 * 2.0**-52
@@ -263,15 +267,81 @@ def test_float_signed_root_mirrors_array_root(a, b, m, sign):
 
 
 @pytest.mark.parametrize("label", ["complete:2", "hypercube:1", "lattice:2:2",
-                                   "lattice:10:2", "lattice:2:16", "lattice:3:32"])
+                                   "lattice:10:2", "lattice:2:16", "lattice:3:32", "lattice:5:40"])
 def test_batched_couplings_match_lowest_two(label):
     # one kernel call with a coupling per row, the five couplings shuffled and
-    # both brackets of each in separate halves, equals lowest_two per coupling
+    # both brackets of each in separate halves, equals lowest_two per coupling;
+    # lattice:5:40 (K = 31979) steps every row with its far field
     ls = levels(label)
     gammas = [f * scan_center(label) for f in (1e2, 1e-6, 1e6, 1.0, 1e-2)]
     roots, fprimes = qwsearch.secular._solve_brackets(ls, gammas + gammas, [0] * 5 + [1] * 5)
     for j, gamma in enumerate(gammas):
         assert lowest_two(ls, gamma) == (roots[j], roots[j + 5], fprimes[j], fprimes[j + 5])
+
+
+def test_far_field_only_on_the_row_path(monkeypatch):
+    # the far field starts where a 2^16-entry block holds at most _NARROW rows,
+    # so _solve_block never meets it, and the row and array paths agree bit for
+    # bit wherever both can run; 1-D lattices of side 2K - 2 have K levels
+    limit = qwsearch.graphs.FAR_FIELD_LEVELS
+    assert qwsearch.secular._BLOCK // (limit + 1) <= qwsearch.secular._NARROW
+    below = level_spectrum(GraphFamily.lattice(1, 2 * limit - 2))
+    assert below.num_levels == limit == below.far_start and below.far_moments == ()
+    above = level_spectrum(GraphFamily.lattice(1, 2 * limit))
+    assert above.num_levels == limit + 1 and 1 < above.far_start < limit
+
+    def block(*args):
+        raise AssertionError("a far-field spectrum reached _solve_block")
+
+    monkeypatch.setattr(qwsearch.secular, "_solve_block", block)
+    brackets = np.arange(0, above.num_levels, 1000)
+    roots, _ = qwsearch.secular._solve_brackets(above, above.s1, brackets)
+    assert roots[0] < 0.0 and np.all(roots[1:] > 0.0)
+
+
+@pytest.mark.parametrize("label", ["lattice:5:40", "lattice:1:26216"])
+def test_far_sums_match_40_digit_tail(label):
+    # the moment series of the far levels, at points across the radius, is within
+    # 2 eps of the 40-digit sums of its terms, value and derivative (the truncation
+    # leaves out at most eps/8; the largest error seen is 1.2 eps, at lattice:2:1024)
+    ls = levels(label)
+    gamma, D = decimal.Decimal(ls.s1), decimal.Decimal
+    far = list(zip(map(D, ls.weights[ls.far_start:].tolist()),
+                   map(D, ls.energies[ls.far_start:].tolist())))
+    with decimal.localcontext(decimal.Context(prec=40)):
+        for x in ls.far_radius * np.array([-1.0, -0.3, 0.0, 0.6, 1.0]):
+            value, slope = qwsearch.secular._far_sums(ls, ls.s1, float(x))
+            terms = [w / (gamma * (e - D(float(x)))) for w, e in far]
+            want_value = sum(terms)
+            want_slope = sum(t * t / w for t, (w, _) in zip(terms, far))
+            assert abs(D(value) - want_value) <= D(2 * 2.0**-52) * want_value
+            assert abs(D(slope) - want_slope) <= D(2 * 2.0**-52) * want_slope
+
+
+@pytest.mark.parametrize("label", ["lattice:5:40", "lattice:3:128"])
+def test_far_field_takes_the_same_steps(label):
+    # the far sums join R, R' and the spread of the stopping bound, so the two
+    # lowest roots take as many steps as with every level passed over
+    ls, off = levels(label), levels_without_far_field(label)
+    for gamma in ls.s1 * np.geomspace(0.25, 4.0, 9):
+        for bracket in (0, 1):
+            assert (steps_to_converge(ls, float(gamma), bracket)
+                    == steps_to_converge(off, float(gamma), bracket))
+
+
+def test_far_field_leaves_other_points_bitwise():
+    # at 1e-3 times S1 the ground root lies near -1, so x = E/gamma is about
+    # -1/(1e-3 S1), far outside the radius, and every step passes over all levels
+    # as without the far field; brackets from the cut on never use it.  (The
+    # excited root lies below gamma*E_1, inside the radius at any coupling.)
+    ls, off = levels("lattice:5:40"), levels_without_far_field("lattice:5:40")
+    assert 1 < ls.far_start < ls.num_levels == off.far_start
+    for gamma, brackets in ((1e-3 * ls.s1, [0, ls.far_start, ls.num_levels - 1]),
+                            (ls.s1, [ls.far_start, ls.num_levels // 2])):
+        on_roots, on_fprimes = qwsearch.secular._solve_brackets(ls, gamma, brackets)
+        off_roots, off_fprimes = qwsearch.secular._solve_brackets(off, gamma, brackets)
+        assert on_roots.tolist() == off_roots.tolist()
+        assert on_fprimes.tolist() == off_fprimes.tolist()
 
 
 def test_lowest_two_allocates_no_per_step_blocks():
@@ -360,6 +430,19 @@ def test_inner_root_on_interval_midpoint(label):
     rows = qwsearch.secular._NARROW + 1
     roots, fprimes = qwsearch.secular._solve_brackets(ls, gamma, [1] * rows)
     assert roots.tolist() == [e1] * rows and fprimes.tolist() == [fp1] * rows
+
+
+@pytest.mark.parametrize("label", ["complete:3", "lattice:1:3"])
+def test_oracle_reaches_root_on_bisection_point(label):
+    # at the scan centre the excited root lies within rounding of the 40-digit
+    # oracle's first bisection midpoint, and Newton from inside overshoots it;
+    # held at that end, the oracle steps back onto the root
+    ls, gamma = levels(label), scan_center(label)
+    spec = solve_spectrum(ls, gamma)
+    roots, weights = mp_secular_solution(ls, gamma)
+    for ours, refs in ((spec.energies, roots), (spec.w_weights, weights)):
+        worst = max(abs((mpmath.mpf(float(x)) - y) / y) for x, y in zip(ours, refs))
+        assert worst <= 1e-14
 
 
 # The distinct families of the benchmark's three workloads; the first five
