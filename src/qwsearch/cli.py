@@ -15,6 +15,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 import tempfile
 from dataclasses import asdict, astuple, dataclass, field, fields
@@ -43,7 +44,7 @@ from .evolution import (
     find_optimal_time,
     trace,
 )
-from .graphs import GraphFamily, GraphSpecError, level_spectrum, parse_graph_spec
+from .graphs import INTEGER_TEXT, GraphFamily, GraphSpecError, level_spectrum, parse_graph_spec
 from .secular import lowest_two, secular_value, solve_spectrum
 
 OUTPUT_DIR_ENV = "QWSEARCH_OUTPUT_DIR"
@@ -139,7 +140,10 @@ def write_csv(path: str, header: list[str], rows: list[list]) -> str:
 
 
 def _json_text(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    # RFC 8259 has no NaN or Infinity: a round trip reads each non-finite float back as
+    # null (parse_constant), and every other value as itself (floats print as repr)
+    strict = json.loads(json.dumps(payload), parse_constant=lambda _: None)
+    return json.dumps(strict, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _table(cls, records) -> tuple[list[str], list[tuple]]:
@@ -151,9 +155,7 @@ def _emit_table(cfg: RunConfig, stem: str, header: list[str], rows: list[list]):
     """The table's files as (name, text): the CSV, its JSON mirror and its plots."""
     yield f"{stem}.csv", _csv_text(header, rows)
     if cfg.fmt == "json":
-        payload = [dict(zip(header, [float(v) if isinstance(v, (float, np.floating))
-                                     else v for v in row])) for row in rows]
-        yield f"{stem}.json", _json_text(payload)
+        yield f"{stem}.json", _json_text([dict(zip(header, row)) for row in rows])
     if cfg.plot == "gnuplot" or cfg.command == "figures":
         yield f"{stem}.gp", _gnuplot_text(stem, header)
     if cfg.plot == "svg":
@@ -270,9 +272,7 @@ def _cmd_evolve(cfg: RunConfig):
 
 
 def _checks_payload(checks) -> list[dict]:
-    return [{"bound_id": c.bound_id, "lhs": c.lhs, "rhs": c.rhs,
-             "slack": c.slack, "pass": c.passed, "applicable": c.applicable}
-            for c in checks]
+    return [{"pass" if k == "passed" else k: v for k, v in asdict(c).items()} for c in checks]
 
 
 def _cmd_critical(cfg: RunConfig):
@@ -392,18 +392,23 @@ def _cmd_figures(cfg: RunConfig):
 def _numbers(kind: type, sep: str | None = None, count: int | None = None,
              lo: float = -math.inf, hi: float = math.inf):
     """An argparse type reading one `kind` value, or with `sep` a tuple of `count` (any
-    number when None), each in [lo, hi], from ASCII text only: int() and float() take
-    any Unicode digit."""
+    number when None), each in [lo, hi].  An int is written as a graph-spec field is
+    (INTEGER_TEXT), and a float is ASCII text without "_" or whitespace: int() and
+    float() take both, and any Unicode digit."""
+    grammar, rule = ((INTEGER_TEXT, f"as {INTEGER_TEXT.pattern}") if kind is int
+                     else (re.compile(r"[^_\s]+"), "in ASCII without '_' or whitespace"))
+
     def read(text: str):
         parts = text.split(sep) if sep else [text]
         try:
-            if not text.isascii() or len(parts) != (count or len(parts)):
+            if not (text.isascii() and len(parts) == (count or len(parts))
+                    and all(map(grammar.fullmatch, parts))):
                 raise ValueError
             values = tuple(map(kind, parts))
         except ValueError:
             what = (f"{count or 'one or more'} {kind.__name__}s joined by {sep!r}"
                     if sep else f"one {kind.__name__}")
-            raise argparse.ArgumentTypeError(f"expected {what} in ASCII, got {text!r}") from None
+            raise argparse.ArgumentTypeError(f"expected {what} {rule}, got {text!r}") from None
         if any(value < lo or value > hi for value in values):     # NaN goes on to the library
             raise argparse.ArgumentTypeError(f"expected a value in [{lo}, {hi}], got {text!r}")
         return values if sep else values[0]

@@ -72,6 +72,8 @@ _FINE_EDGES = np.sort(np.r_[_COARSE_EDGES, 0.5 * (_COARSE_EDGES[:-1] + _COARSE_E
 
 @lru_cache(maxsize=None)
 def _green_integral_err(j: int, d: int) -> tuple[float, float]:
+    if j < 1:
+        raise ValueError(f"the integral of E^-j needs j >= 1, got j={j}")
     if d <= 2 * j:
         raise DivergenceError(f"integral of E^-{j} diverges for d={d} <= 2j={2*j}")
     pref = 1.0 / ((2 * d) ** j * math.factorial(j - 1))

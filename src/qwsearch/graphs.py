@@ -83,19 +83,19 @@ class GraphFamily:
         return cls(kind="lattice", num_vertices=int(side) ** int(dim), dim=int(dim), side=int(side))
 
     def label(self) -> str:
-        if self.kind == "complete":
-            return f"complete:{self.num_vertices}"
-        if self.kind == "hypercube":
-            return f"hypercube:{self.num_bits}"
-        return f"lattice:{self.dim}:{self.side}"
+        return ":".join([self.kind, *(str(getattr(self, f)) for f in _SPEC_FIELDS[self.kind])])
 
 
 class GraphSpecError(ValueError):
     pass
 
 
-# How many integer fields label() writes after each family name, which names the constructor.
-_SPEC_FIELDS = {"complete": 1, "hypercube": 1, "lattice": 2}
+# The integer fields label() writes after each family name, which names the
+# constructor that takes them in this order.  Each one, like each integer flag of
+# the CLI, is INTEGER_TEXT: no "_", "+", whitespace or non-ASCII digit, unlike int().
+_SPEC_FIELDS = {"complete": ("num_vertices",), "hypercube": ("num_bits",),
+                "lattice": ("dim", "side")}
+INTEGER_TEXT = re.compile("-?[0-9]+")
 
 
 def parse_graph_spec(text: str) -> GraphFamily:
@@ -103,11 +103,11 @@ def parse_graph_spec(text: str) -> GraphFamily:
     kind, *parts = text.split(":")
     if kind not in _SPEC_FIELDS:
         raise GraphSpecError(f"unknown family {kind!r} at position 0 of {text!r}")
-    want = _SPEC_FIELDS[kind]
+    want = len(_SPEC_FIELDS[kind])
     if len(parts) != want:
         raise GraphSpecError(f"{kind} takes {('one field', 'two fields')[want - 1]}, got {text!r}")
     for pos, part in enumerate(parts, 1):
-        if not re.fullmatch("-?[0-9]+", part):     # ASCII digits only, unlike str.isdigit
+        if not INTEGER_TEXT.fullmatch(part):
             raise GraphSpecError(f"expected an integer at position {pos} of {text!r}")
     return getattr(GraphFamily, kind)(*map(int, parts))
 

@@ -110,6 +110,8 @@ def _solve_brackets(spectrum: LevelSpectrum, gamma, brackets) -> tuple[np.ndarra
     gammas = np.full(brackets.shape, gamma, dtype=float)
     # Outside this range the kernel's squares and reciprocals leave float64.
     if not 1e-100 <= gammas.min() <= gammas.max() <= 1e100:
+        if np.ndim(gamma):      # name the first row's coupling outside, NaN included
+            gamma = repr(float(gammas[~((gammas >= 1e-100) & (gammas <= 1e100))][0]))
         raise ValueError(f"gamma must lie in [1e-100, 1e100], got {gamma}")
     roots = np.empty(len(brackets))
     fprimes = np.empty(len(brackets))

@@ -70,6 +70,15 @@ def test_scan_validation():
             scan_gamma(g, lo, hi, 10)
 
 
+def test_scan_range_error_names_the_first_coupling_outside():
+    # each coupling of the grid is one row per root, 202 in all; the message names one
+    grid = np.linspace(1e99, 1e101, 101)
+    first = float(grid[grid > 1e100][0])
+    with pytest.raises(ValueError) as exc:
+        scan_gamma(family("lattice:2:8"), 1e99, 1e101, 101)
+    assert str(exc.value) == f"gamma must lie in [1e-100, 1e100], got {first!r}"
+
+
 @pytest.mark.parametrize("label, points", [("complete:1024", 11), ("lattice:3:6", 21)])
 def test_scan_matches_per_coupling_records(label, points):
     records = scan_gamma(family(label), *_window(label), points)

@@ -143,7 +143,7 @@ def test_scaling_command_not_applicable_row(tmp_path, monkeypatch):
     row, = [c for c in report["checks"]
             if c["bound_id"].startswith("amp-ceiling-measured-offset")]
     assert row["applicable"] is False and row["pass"] is False
-    assert math.isnan(row["rhs"])
+    assert row["rhs"] is None
 
 
 def test_scaling_command_critical(tmp_path):
@@ -218,9 +218,37 @@ def test_validate_fails_on_nan(tmp_path, capsys, monkeypatch):
     assert rc == 3
     assert json.loads(capsys.readouterr().err)["error"]["type"] == "computation"
     report = json.loads((tmp_path / "validate.json").read_text())
-    assert report["all_pass"] is False and math.isnan(report["worst_delta"])
+    assert report["all_pass"] is False and report["worst_delta"] is None
     ran = [f for f in report["families"] if not f["skipped"]]
     assert ran and all(f["pass"] is False for f in ran)
+
+
+def _strict_json(path):
+    def reject(token):
+        raise ValueError(f"{token} in {path}")
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+def test_json_files_are_strict(tmp_path, monkeypatch):
+    # RFC 8259 has no NaN or Infinity, so every JSON file writes a non-finite float as null
+    rootless_measured_offsets(monkeypatch)
+    calls = itertools.count()
+    exact = qwsearch.cli.amplitude
+    monkeypatch.setattr(qwsearch.cli, "amplitude",
+                        lambda spec, t: math.nan if next(calls) % 2 else exact(spec, t))
+    runs = {"d5": ["scaling", "--dim", "5", "--sides", "2,3,4", "--format", "json"],
+            "d3": ["scaling", "--dim", "3", "--sides", "6", "--format", "json"],
+            "validate": ["validate", "--oracle-cap", "300", "--seed", "7"]}
+    assert [main([*args, "--output-dir", str(tmp_path / name)])
+            for name, args in runs.items()] == [0, 0, 3]
+    payloads = {path.relative_to(tmp_path).as_posix(): _strict_json(path)
+                for path in tmp_path.rglob("*.json")}
+    assert sorted(payloads) == [
+        "d3/scaling.manifest.json", "d3/scaling_records.json", "d3/scaling_report.json",
+        "d5/scaling.manifest.json", "d5/scaling_predictions.json", "validate/validate.json"]
+    assert None in [row["window_half_width"] for row in payloads["d5/scaling_predictions.json"]]
+    assert None in [check["rhs"] for check in payloads["d3/scaling_report.json"]["checks"]]
+    assert payloads["validate/validate.json"]["worst_delta"] is None
 
 
 def test_validate_cap_must_admit_a_family(tmp_path, capsys):
@@ -399,9 +427,25 @@ def test_every_handler_is_registered_once():
     (["evolve", "--graph", "complete:16", "--gamma", "0.1", "--time-max", "\u0663"],
      "--time-max"),                                                   # Arabic-Indic three
     (["validate", "--seed", "\u0667"], "--seed"),
+    # an integer flag is written as a graph-spec field is, -?[0-9]+
+    (["scaling", "--dim", "0_5", "--sides", "6"], "--dim"),
+    (["scaling", "--dim", "3", "--sides", "1_0"], "--sides"),
+    (["scaling", "--dim", "3", "--sides", "+4"], "--sides"),
+    (["scaling", "--dim", "3", "--sides", " 4"], "--sides"),
+    (["scaling", "--dim", "3", "--sides", "4,6 "], "--sides"),
+    (["scan", "--graph", "complete:16", "--points", "1_1"], "--points"),
+    (["validate", "--seed", "+7"], "--seed"),
+    (["validate", "--oracle-cap", "\t300"], "--oracle-cap"),
+    # a float flag takes no "_" and no surrounding whitespace
+    (["spectrum", "--graph", "complete:16", "--gamma", "1_0.5"], "--gamma"),
+    (["spectrum", "--graph", "complete:16", "--gamma", " 0.5"], "--gamma"),
+    (["scan", "--graph", "complete:16", "--gamma-range", "0.1:0.2\n"], "--gamma-range"),
+    (["evolve", "--graph", "complete:16", "--gamma", "0.1", "--time-max", "1_0"],
+     "--time-max"),
 ])
 def test_malformed_flag_values_are_usage_errors(tmp_path, capsys, args, flag):
-    # int() and float() read any Unicode decimal digit; flag values are read from ASCII
+    # int() and float() read any Unicode decimal digit, "_" between digits and
+    # surrounding whitespace, and int() a leading "+"; flag values take none of these
     with pytest.raises(SystemExit) as exc:
         main([*args, "--output-dir", str(tmp_path)])
     assert exc.value.code == 2
@@ -641,6 +685,17 @@ def test_svg_plot(tmp_path):
     assert rc == 0
     svg = (tmp_path / "scan.svg").read_text()
     assert svg.startswith("<svg") and "polyline" in svg
+
+
+def test_svg_plot_of_one_row(tmp_path):
+    # one row: the x range collapses, and every series is one point on the left axis
+    rc = main(["scaling", "--dim", "5", "--sides", "4", "--plot", "svg",
+               "--output-dir", str(tmp_path)])
+    assert rc == 0
+    points = re.findall(r'points="([^"]*)"', (tmp_path / "scaling_predictions.svg").read_text())
+    assert len(points) == 12 and all(re.fullmatch(r"60\.00,[0-9.]+", p) for p in points)
+    # one finite value: the y range collapses too, to the bottom left corner
+    assert 'points="60.00,540.00"' in qwsearch.cli._svg_text(["x", "y"], [[3.0, 2.0]])
 
 
 def _src_env():

@@ -59,6 +59,12 @@ def test_green_integral_divergence():
             green_integral(j, d)
 
 
+@pytest.mark.parametrize("j", [0, -1])
+def test_green_integral_needs_positive_j(j):
+    with pytest.raises(ValueError, match=f"got j={j}$"):
+        green_integral(j, 3)
+
+
 def test_green_integral_error_estimates():
     for entry in build_constant_table():
         if entry.kind == "I":

@@ -78,6 +78,11 @@ def test_amplitude_grid_matches_direct_sum(monkeypatch, num_points):
     assert np.array_equal(tr.amplitudes, amps)
 
 
+def test_amplitude_grid_needs_a_point():
+    with pytest.raises(ValueError, match="at least 1 time point, got 0"):
+        amplitudes(solved("lattice:2:4", 1.0), 7.0, 0)
+
+
 def test_trace_grid_and_endpoints():
     spec = solved("lattice:2:4", 1.0)
     tr = trace(spec, 7.0, 2)

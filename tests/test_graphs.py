@@ -251,6 +251,17 @@ def test_labels_round_trip():
     assert GraphFamily.lattice(4, 6).num_vertices == 1296
 
 
+@pytest.mark.parametrize("energies, multiplicities, num_vertices, message", [
+    ([1.0, 2.0], [1, 3], 4, "lowest level"),
+    ([0.0, 2.0], [2, 2], 4, "lowest level"),
+    ([0.0, 2.0, 2.0], [1, 1, 2], 4, "strictly increasing"),
+    ([0.0, 2.0], [1, 2], 4, "sum to N"),
+])
+def test_freeze_checks_the_level_invariants(energies, multiplicities, num_vertices, message):
+    with pytest.raises(AssertionError, match=message):
+        qwsearch.graphs._freeze(energies, multiplicities, num_vertices)
+
+
 def test_spectrum_is_immutable():
     # every caller shares the memoized levels, so no caller may write to them
     for label in ("complete:8", "hypercube:3", "lattice:2:4"):
