@@ -17,7 +17,6 @@ import math
 import os
 import re
 import sys
-import tempfile
 from dataclasses import asdict, astuple, dataclass, field, fields
 
 import numpy as np
@@ -103,18 +102,16 @@ def _cell_format(kind: type) -> str:
 def _atomic_write(path: str, data: str):
     directory = os.path.dirname(path) or "."
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+    # A fresh name, created exclusively at the mode open(path, "w") gives: the
+    # kernel takes the umask from 0666.
+    tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        umask = os.umask(0)
-        os.umask(umask)
         with os.fdopen(fd, "w") as fh:
-            # mkstemp creates the file 0600; give it the mode open(path, "w") would
-            os.fchmod(fh.fileno(), 0o666 & ~umask)
             fh.write(data)
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        os.unlink(tmp)
         raise
 
 
@@ -496,7 +493,3 @@ def main(argv: list[str] | None = None) -> int:
     for path in paths:
         print(path)
     return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

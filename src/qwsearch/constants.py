@@ -94,12 +94,16 @@ def _green_integral_err(j: int, d: int) -> tuple[float, float]:
     err = abs(rule(_FINE_EDGES)[0] - val) + 2.0 * d * _EPS * mass
     # Tail from the Bessel asymptotics (i0e(x))^d ~ (2 pi x)^(-d/2) (1 + d/(8x) + ...):
     # the integrand decays like a^(j-1-d/2), integrable precisely when d > 2j.
+    # Term i is c0 a_i U^(p-i) / (i - p), c0 = pref (d / 2 pi)^(d/2), and c0 a_i
+    # overflows from d = 348 on.  Above d = 20, where each term is below 1e-27 of
+    # the value, U^p is taken into c0 (the two forms give the same bits for every
+    # d from 13 to 347).
     p = j - d / 2.0
-    c0 = pref * (d / (2.0 * math.pi)) ** (d / 2.0)
-    t1 = c0 * QUAD_UPPER**p / (-p)
-    t2 = c0 * (d**2 / 8.0) * QUAD_UPPER ** (p - 1) / (1.0 - p)
-    t3 = c0 * (d**3 * (d + 8) / 128.0) * QUAD_UPPER ** (p - 2) / (2.0 - p)
-    return val + t1 + t2 + t3, err + abs(t3)
+    scale, shift = (QUAD_UPPER, -p) if d > 20 else (1.0, 0.0)
+    c0 = pref * scale**j * (d / (2.0 * math.pi * scale)) ** (d / 2.0)
+    t = [c0 * a * QUAD_UPPER ** (p - i + shift) / (i - p)
+         for i, a in enumerate((1.0, d**2 / 8.0, d**3 * (d + 8) / 128.0))]
+    return val + t[0] + t[1] + t[2], err + abs(t[2])
 
 
 def green_integral(j: int, d: int) -> float:

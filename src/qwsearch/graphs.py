@@ -21,11 +21,11 @@ import numpy as np
 
 from ._util import _EPS
 
-# Two lattice levels are one when their energies differ by at most this fraction
-# of the bandwidth 4d.  In units of eps*4d against 30-digit levels, equal levels
-# differ by at most 1.00 in the build's summation order (at lattice:4:100) and 0.8
-# in dispersion_values' order, and distinct ones by at least 2.4e5 (at 2:2048):
-# 16 merges every rounding tie and no two distinct levels.
+# Two levels are one when their energies differ by at most this fraction of the
+# bandwidth 2 edges d.  Against 30-digit lattice levels, in units of eps*4d, equal
+# levels differ by at most 1.00 in the build's order (at lattice:4:100) and 0.8 in
+# dispersion_values' order, and distinct ones by at least 2.4e5 (at 2:2048): 16
+# merges every rounding tie and no two distinct levels (hypercube levels are 2 apart).
 LEVEL_GROUP_TOL = 16 * np.finfo(float).eps
 # Most axis-index multisets C(L/2 + d, d) a lattice level build may list: at its
 # peak of about 41 bytes each (5.4 MB for the 131841 of lattice:2:1024), 2^24 is
@@ -72,6 +72,8 @@ class GraphFamily:
     def hypercube(cls, num_bits: int) -> "GraphFamily":
         if num_bits < 1:
             raise ValueError(f"hypercube needs n >= 1 bits, got {num_bits}")
+        if num_bits >= 63:  # refused before 2^n is formed: a huge n takes gigabytes
+            raise ValueError(f"hypercube:{num_bits} has N = 2**{num_bits} > 2**63 - 1")
         return cls(kind="hypercube", num_vertices=2**int(num_bits), num_bits=int(num_bits))
 
     @classmethod
@@ -80,6 +82,8 @@ class GraphFamily:
             raise ValueError(f"lattice needs dim >= 1, got {dim}")
         if side < 2:
             raise ValueError(f"lattice needs side >= 2, got {side}")
+        if (bits := int(dim) * (int(side).bit_length() - 1)) >= 63:  # N >= 2^bits, as above
+            raise ValueError(f"lattice:{dim}:{side} has N >= 2**{bits} > 2**63 - 1")
         return cls(kind="lattice", num_vertices=int(side) ** int(dim), dim=int(dim), side=int(side))
 
     def label(self) -> str:
@@ -190,55 +194,53 @@ def level_spectrum(graph: GraphFamily) -> LevelSpectrum:
         # L + N*I is N times the projector on the uniform state, so -L has
         # the simple eigenvalue 0 and the (N-1)-fold eigenvalue N.
         return _freeze([0.0, float(n)], [1, n - 1], n)
-    if graph.kind == "hypercube":
-        bits = graph.num_bits
-        energies = [2.0 * r for r in range(bits + 1)]
-        mult = [math.comb(bits, r) for r in range(bits + 1)]
-        return _freeze(energies, mult, n)
-    if graph.kind == "lattice":
-        # A level depends on the multiset of axis indices m_1 <= ... <= m_d in
-        # 0..L/2, not on their order, so each multiset is listed once (C(L/2 + d, d)
-        # entries) with the count of its ordered tuples: the multinomial, grown by
-        # k / (run length of the new last index), times 2 per index with -m != m.
-        # Kept ordered by last index, the multisets that index b extends are a
-        # prefix.  Cosines are summed before forming 2(d - sum) so lattice:2:4 stays
-        # integer; one sort then merges sums whose energies are within tolerance.
-        count = math.comb(graph.side // 2 + graph.dim, graph.dim)
-        if count > MAX_LEVEL_MULTISETS:
-            raise ValueError(f"{graph.label()} needs {count} axis-index multisets, above "
-                             f"the level-build cap of {MAX_LEVEL_MULTISETS}")
-        half = np.arange(graph.side // 2 + 1)
-        axis_cos = np.cos(2.0 * np.pi * half / graph.side)
-        axis_count = np.where((half == 0) | (2 * half == graph.side), 1, 2)
-        tol = LEVEL_GROUP_TOL * 4.0 * graph.dim
-        sums, mult = np.zeros(1), np.ones(1, dtype=np.int64)
-        last, run = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
-        for k in range(1, graph.dim + 1):
-            prefix = np.searchsorted(last, half, side="right")
-            parent = np.arange(prefix.sum()) - np.repeat(np.cumsum(prefix) - prefix, prefix)
-            index = np.repeat(half, prefix)
-            run = np.where(last[parent] == index, run[parent] + 1, 1)
-            mult, sums = mult[parent] * k // run, sums[parent]
-            del parent  # freed before the last two gathers
-            mult *= axis_count[index]
-            sums += axis_cos[index]
-            last = index
-        del last, run, index  # freed before the sort and its copies
-        order = np.argsort(-sums)
-        sums = sums[order]
-        mult = mult[order]
-        del order
-        # sums[0] = d exactly is the uniform mode, the one level at 0, which stays
-        # apart even when 2(1 - cos(2 pi / L)) falls under the tolerance
-        starts = np.flatnonzero(np.r_[True, True, np.diff(2.0 * (graph.dim - sums))[1:] > tol])
-        merged = np.add.reduceat(mult, starts)
-        sums *= mult
-        del mult
-        sums = np.add.reduceat(sums, starts) / merged
-        del starts  # freed, and the energies formed in place, before the level moments
-        np.subtract(graph.dim, sums, out=sums)
-        sums *= 2.0
-        return _freeze(sums, merged, n)
+    # The hypercube is n rings of side 2 with one edge each and a lattice d rings
+    # of side L with two, so a level is edges (d - sum of axis cosines).  It depends
+    # on the multiset of axis indices m_1 <= ... <= m_d in 0..L/2, not their order,
+    # so each multiset is listed once (C(L/2 + d, d) entries) with the count of its
+    # ordered tuples: the multinomial, grown by k / (run length of the new last
+    # index) in uint64 (k times a count reaches 1.44e19 at hypercube:62), times 2
+    # per index with -m != m.  Kept ordered by last index, the multisets that index b
+    # extends are a prefix.  Cosines are summed before forming edges (d - sum) so
+    # lattice:2:4 stays integer; one sort then merges sums within tolerance.
+    dim, side, edges = ((graph.num_bits, 2, 1) if graph.kind == "hypercube"
+                        else (graph.dim, graph.side, 2))
+    count = math.comb(side // 2 + dim, dim)
+    if count > MAX_LEVEL_MULTISETS:
+        raise ValueError(f"{graph.label()} needs {count} axis-index multisets, above "
+                         f"the level-build cap of {MAX_LEVEL_MULTISETS}")
+    half = np.arange(side // 2 + 1)
+    axis_cos = np.cos(2.0 * np.pi * half / side)
+    axis_count = np.where((half == 0) | (2 * half == side), 1, 2).astype(np.uint64)
+    tol = LEVEL_GROUP_TOL * 2.0 * edges * dim
+    sums, mult = np.zeros(1), np.ones(1, dtype=np.uint64)
+    last, run = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.uint64)
+    for k in range(1, dim + 1):
+        prefix = np.searchsorted(last, half, side="right")
+        parent = np.arange(prefix.sum()) - np.repeat(np.cumsum(prefix) - prefix, prefix)
+        index = np.repeat(half, prefix)
+        run = np.where(last[parent] == index, run[parent] + 1, 1)
+        mult, sums = mult[parent] * k // run, sums[parent]
+        del parent  # freed before the last two gathers
+        mult *= axis_count[index]
+        sums += axis_cos[index]
+        last = index
+    del last, run, index  # freed before the sort and its copies
+    order = np.argsort(-sums)
+    sums = sums[order]
+    mult = mult[order].view(np.int64)  # a view: a float-by-uint64 product would copy
+    del order
+    # sums[0] = d exactly is the uniform mode, the one level at 0, which stays
+    # apart even when 2(1 - cos(2 pi / L)) falls under the tolerance
+    starts = np.flatnonzero(np.r_[True, True, np.diff(edges * (dim - sums))[1:] > tol])
+    merged = np.add.reduceat(mult, starts)
+    sums *= mult
+    del mult
+    sums = np.add.reduceat(sums, starts) / merged
+    del starts  # freed, and the energies formed in place, before the level moments
+    np.subtract(dim, sums, out=sums)
+    sums *= edges
+    return _freeze(sums, merged, n)
 
 
 def neg_laplacian(graph: GraphFamily) -> np.ndarray:

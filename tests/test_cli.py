@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import errno
 import io
 import itertools
 import json
@@ -144,6 +145,15 @@ def test_scaling_command_not_applicable_row(tmp_path, monkeypatch):
             if c["bound_id"].startswith("amp-ceiling-measured-offset")]
     assert row["applicable"] is False and row["pass"] is False
     assert row["rhs"] is None
+
+
+def test_scaling_past_the_vertex_cap_is_a_config_error(tmp_path, capsys):
+    # the integrals are finite at every d > 2j, so the vertex cap is what stops d = 400
+    rc = main(["scaling", "--dim", "400", "--sides", "2", "--output-dir", str(tmp_path)])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert (err["type"], err["class"]) == ("config", "ValueError")
+    assert err["message"] == "lattice:400:2 has N >= 2**400 > 2**63 - 1"
 
 
 def test_scaling_command_critical(tmp_path):
@@ -469,6 +479,35 @@ def test_artifacts_follow_the_umask(tmp_path, umask, mode):
         assert stat.S_IMODE((tmp_path / name).stat().st_mode) == mode, name
 
 
+def test_main_leaves_the_umask_alone(tmp_path, monkeypatch):
+    # the kernel applies the umask when each file is created, so main never calls
+    # os.umask, which reads the process-wide mask only by setting it
+    def umask(mask):
+        raise AssertionError("os.umask called")
+    monkeypatch.setattr(os, "umask", umask)
+    rc = main(["spectrum", "--graph", "complete:16", "--gamma", "0.0625",
+               "--output-dir", str(tmp_path)])
+    assert rc == 0
+
+
+def test_temp_name_collision_keeps_the_other_file(tmp_path, monkeypatch, capsys):
+    # a temp name someone else holds is never unlinked, and nothing is written
+    taken = []
+
+    def collide(path, flags, mode=0o777):
+        Path(path).write_text("not ours")
+        taken.append(path)
+        raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), path)
+    monkeypatch.setattr(os, "open", collide)
+    rc = main(["spectrum", "--graph", "complete:16", "--gamma", "0.0625",
+               "--output-dir", str(tmp_path)])
+    assert rc == 3
+    assert json.loads(capsys.readouterr().err)["error"]["class"] == "FileExistsError"
+    assert len(taken) == 1
+    assert os.listdir(tmp_path) == [os.path.basename(taken[0])]
+    assert Path(taken[0]).read_text() == "not ours"
+
+
 def test_readme_examples_parse():
     readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                           "README.md")
@@ -492,8 +531,11 @@ def test_graph_spec_takes_ascii_digits_only(tmp_path, capsys, label):
     assert os.listdir(tmp_path) == []
 
 
+# The N of the last two has more than Python's 4300 printable digits; like
+# every hypercube and lattice, each is refused from its exponent.
 @pytest.mark.parametrize("label", ["hypercube:63", "lattice:32:4", "lattice:21:8",
-                                   "complete:9223372036854775808", "lattice:40:4"])
+                                   "complete:9223372036854775808", "lattice:40:4",
+                                   "hypercube:100000000", "lattice:100000000:2"])
 def test_vertex_count_past_int64_is_a_config_error(tmp_path, capsys, label):
     rc = main(["spectrum", "--graph", label, "--gamma", "1", "--output-dir", str(tmp_path)])
     assert rc == 2
@@ -502,7 +544,8 @@ def test_vertex_count_past_int64_is_a_config_error(tmp_path, capsys, label):
     assert "2**63 - 1" in err["message"]
 
 
-@pytest.mark.parametrize("label", ["hypercube:62", "lattice:31:4", "complete:9223372036854775807"])
+@pytest.mark.parametrize("label", ["hypercube:62", "lattice:31:4", "lattice:62:2",
+                                   "complete:9223372036854775807"])
 def test_vertex_count_up_to_int64_solves(tmp_path, label):
     rc = main(["spectrum", "--graph", label, "--gamma", "1", "--output-dir", str(tmp_path)])
     assert rc == 0
@@ -604,7 +647,9 @@ def test_defaults_pass_their_flag_types():
 @pytest.mark.parametrize("label, message", [
     ("lattice:10:100", "2**63 - 1"),
     ("lattice:10:60", "847660528 axis-index multisets"),
-], ids=["past-int64", "past-level-cap"])
+    ("hypercube:1000000000000", "2**1000000000000 > 2**63 - 1"),
+    ("lattice:1000000000000:2", "2**1000000000000 > 2**63 - 1"),
+], ids=["past-int64", "past-level-cap", "hypercube-exponent", "lattice-exponent"])
 def test_oversized_level_build_is_refused_before_allocating(tmp_path, label, message):
     # in a child whose address space is capped at 1 GB, a build that started
     # allocating would die with MemoryError (exit 3), not be killed for memory

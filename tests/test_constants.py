@@ -65,6 +65,17 @@ def test_green_integral_needs_positive_j(j):
         green_integral(j, 3)
 
 
+@pytest.mark.parametrize("d", [350, 353, 400, 1000])
+def test_green_integral_at_large_dimension(d):
+    # the 1/d expansion of <E^-j> about the mean 2d with variance 2d; the tail's
+    # prefactor (d / 2 pi)^(d/2) times its coefficients overflows from d = 348 on
+    x = 1.0 / (2 * d)
+    for j, expansion in ((1, x * (1 + x)), (2, x * x * (1 + 3 * x))):
+        value, error = qwsearch.constants._green_integral_err(j, d)
+        assert math.isfinite(error)
+        assert abs(value / expansion - 1.0) < 10.0 / d**2, (j, d)
+
+
 def test_green_integral_error_estimates():
     for entry in build_constant_table():
         if entry.kind == "I":

@@ -156,6 +156,54 @@ def test_lattice_level_build_peak():
     assert _peak_bytes(level_spectrum, graph) < 5.5 * 8 * entries
 
 
+def test_side_two_levels_are_the_binomial_closed_form():
+    # the hypercube is n rings of side 2 with one edge each, lattice:n:2 with two
+    for n in range(1, 63):
+        for graph, step in ((GraphFamily.hypercube(n), 2.0), (GraphFamily.lattice(n, 2), 4.0)):
+            ls = level_spectrum.__wrapped__(graph)
+            assert ls.energies.tolist() == [step * r for r in range(n + 1)], graph
+            assert ls.multiplicities.tolist() == [math.comb(n, r) for r in range(n + 1)], graph
+
+
+def _fold_reference(dim, side):
+    """The level build's fold in Python ints: each multiset of axis indices with
+    the count of its ordered tuples, and the largest k * count the fold forms."""
+    entries, largest = [((), 1, 0)], 0      # (multiset, count, run of its last index)
+    for k in range(1, dim + 1):
+        grown = []
+        for indices, count, run in entries:
+            for b in range(indices[-1] if indices else 0, side // 2 + 1):
+                run_b = run + 1 if indices and indices[-1] == b else 1
+                largest = max(largest, k * count)
+                signs = 1 if b == 0 or 2 * b == side else 2
+                grown.append((indices + (b,), k * count // run_b * signs, run_b))
+        entries = grown
+    return [(indices, count) for indices, count, _ in entries], largest
+
+
+def test_fold_counts_are_exact_where_k_times_a_count_passes_int64():
+    # Below d = 2L, k * count <= d N / L < 2N < 2^64.  These are the 164 families
+    # of sides 2-9 with d >= 2L and N <= 2^63 - 1; at lattice:62:2 the fold forms
+    # k * count above 2^63.
+    families = [(d, side) for side in range(2, 10) for d in range(2 * side, 64)
+                if side**d <= 2**63 - 1]
+    assert len(families) == 164
+    largest = 0
+    for dim, side in families:
+        entries, top = _fold_reference(dim, side)
+        largest = max(largest, top)
+        ls = level_spectrum.__wrapped__(GraphFamily.lattice(dim, side))
+        level_of = np.searchsorted((ls.energies[1:] + ls.energies[:-1]) / 2, [
+            2 * (dim - math.fsum(math.cos(2 * math.pi * b / side) for b in indices))
+            for indices, _ in entries])
+        counts = [0] * ls.num_levels
+        for level, (_, count) in zip(level_of, entries):
+            counts[level] += count
+        assert sum(counts) == side**dim
+        assert ls.multiplicities.tolist() == counts, (dim, side)
+    assert 2**63 < largest < 2**64
+
+
 @pytest.mark.parametrize("dim,side", [(1, 7), (2, 8), (3, 5), (4, 4)])
 def test_level_build_cap_boundary(monkeypatch, dim, side):
     # the build lists each multiset of axis indices 0..L/2 once; a count equal
