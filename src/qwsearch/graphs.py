@@ -123,10 +123,11 @@ class LevelSpectrum:
 
     The secular kernel's coupling-free inputs come with the levels: the weights
     w_k = m_k/N and, over k >= 1, the moments s1 = sum w_k/E_k (the scan
-    center), s2 = sum w_k/E_k^2 and m1 = sum w_k E_k.  Above FAR_FIELD_LEVELS
-    levels, far_moments holds mu_j = sum w_k/E_k^(j+1) over the levels from
-    far_start on, j = 0..FAR_TERMS, and far_radius is FAR_RADIUS times the
-    level at far_start; elsewhere far_start is K and far_moments empty.
+    center), s2 = sum w_k/E_k^2 and m1 = sum w_k E_k = tr(-L)/N, the vertex
+    degree, which the builder passes in.  Above FAR_FIELD_LEVELS levels,
+    far_moments holds mu_j = sum w_k/E_k^(j+1) over the levels from far_start
+    on, j = 0..FAR_TERMS, and far_radius is FAR_RADIUS times the level at
+    far_start; elsewhere far_start is K and far_moments empty.
     """
 
     energies: np.ndarray
@@ -145,7 +146,8 @@ class LevelSpectrum:
         return len(self.energies)
 
 
-def _freeze(energies: np.ndarray, multiplicities: np.ndarray, num_vertices: int) -> LevelSpectrum:
+def _freeze(energies: np.ndarray, multiplicities: np.ndarray, num_vertices: int,
+            degree: int) -> LevelSpectrum:
     energies = np.asarray(energies, dtype=float)
     multiplicities = np.asarray(multiplicities, dtype=np.int64)
     if energies[0] != 0.0 or multiplicities[0] != 1:
@@ -179,7 +181,7 @@ def _freeze(energies: np.ndarray, multiplicities: np.ndarray, num_vertices: int)
         arr.setflags(write=False)
     return LevelSpectrum(energies=energies, multiplicities=multiplicities,
                          num_vertices=int(num_vertices), weights=weights, s1=s1, s2=s2,
-                         m1=float(weights[1:] @ energies[1:]), far_start=far_start,
+                         m1=float(degree), far_start=far_start,
                          far_radius=far_radius, far_moments=tuple(moments))
 
 
@@ -193,7 +195,7 @@ def level_spectrum(graph: GraphFamily) -> LevelSpectrum:
     if graph.kind == "complete":
         # L + N*I is N times the projector on the uniform state, so -L has
         # the simple eigenvalue 0 and the (N-1)-fold eigenvalue N.
-        return _freeze([0.0, float(n)], [1, n - 1], n)
+        return _freeze([0.0, float(n)], [1, n - 1], n, n - 1)
     # The hypercube is n rings of side 2 with one edge each and a lattice d rings
     # of side L with two, so a level is edges (d - sum of axis cosines).  It depends
     # on the multiset of axis indices m_1 <= ... <= m_d in 0..L/2, not their order,
@@ -240,7 +242,7 @@ def level_spectrum(graph: GraphFamily) -> LevelSpectrum:
     del starts  # freed, and the energies formed in place, before the level moments
     np.subtract(dim, sums, out=sums)
     sums *= edges
-    return _freeze(sums, merged, n)
+    return _freeze(sums, merged, n, edges * dim)
 
 
 def neg_laplacian(graph: GraphFamily) -> np.ndarray:

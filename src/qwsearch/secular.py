@@ -33,9 +33,9 @@ _MAX_ITER = 64
 # Blocks of at most this many rows step each row on Python floats: on a few
 # rows the array path's per-row arithmetic is about 50 numpy calls a step, at
 # about 1 us each whatever their size.  On a 2-vCPU host (Python 3.11, numpy
-# 2.4), rows split between brackets 0 and 1: at K = 44 and 145 two rows took
-# 98-99 us on floats against 262-329 us on arrays, and arrays caught up between
-# 5 and 8 rows; at K = 6017 and 8321 floats were still ahead at 12 rows.
+# 2.4), rows split between brackets 0 and 1 at S1: at K = 44 and 145 two rows
+# took 75-83 us on floats against 237-255 us on arrays, and arrays caught up
+# between 6 and 8 rows (6 and 10 at K = 6017); at K = 8321 floats led at 12.
 _NARROW = 4
 
 
@@ -108,18 +108,15 @@ def _solve_brackets(spectrum: LevelSpectrum, gamma, brackets) -> tuple[np.ndarra
     """
     brackets = np.asarray(brackets, dtype=int)
     gammas = np.full(brackets.shape, gamma, dtype=float)
-    # Outside this range the kernel's squares and reciprocals leave float64.
-    if not 1e-100 <= gammas.min() <= gammas.max() <= 1e100:
-        if np.ndim(gamma):      # name the first row's coupling outside, NaN included
-            gamma = repr(float(gammas[~((gammas >= 1e-100) & (gammas <= 1e100))][0]))
-        raise ValueError(f"gamma must lie in [1e-100, 1e100], got {gamma}")
+    for g in gammas.tolist() if np.ndim(gamma) else [gamma]:    # the first row outside is named
+        _coupling(g)
     roots = np.empty(len(brackets))
     fprimes = np.empty(len(brackets))
     rows = min(len(brackets), max(1, _BLOCK // spectrum.num_levels))
     # Every block works in one allocation of three row blocks (delta and two
     # workspaces): block arrays freed one by one let malloc hand the top of
     # its heap back to the system, and the next block page-faults it in again.
-    work = np.empty((3, 1 if rows <= _NARROW else rows, spectrum.num_levels))
+    work = np.empty((3, rows, spectrum.num_levels) if rows > _NARROW else (3, spectrum.num_levels))
     if rows <= _NARROW:
         with np.errstate(divide="ignore", invalid="ignore"):
             for i in range(len(brackets)):
@@ -129,6 +126,13 @@ def _solve_brackets(spectrum: LevelSpectrum, gamma, brackets) -> tuple[np.ndarra
         block = slice(i, i + rows)
         roots[block], fprimes[block] = _solve_block(spectrum, gammas[block], brackets[block], work)
     return roots, fprimes
+
+
+def _coupling(gamma) -> float:
+    """gamma as a float, refused where the kernel's squares and reciprocals would leave float64."""
+    if not 1e-100 <= gamma <= 1e100:
+        raise ValueError(f"gamma must lie in [1e-100, 1e100], got {gamma}")
+    return float(gamma)
 
 
 def _pole_distances(gamma, levels, origins, out):
@@ -189,12 +193,12 @@ def _float_signed_root(a: float, b: float, m: float, sign: float) -> float:
 
 def _level_passes(weights, delta, tau, inv, terms):
     """R - 1, R' and sum_k |w_k/(delta_k - tau)| per row, from passes over the levels
-    in the workspaces inv and terms; tau is a scalar or a column."""
+    in the workspaces inv and terms; tau is a scalar (one row: float64 sums) or a column."""
     np.subtract(delta, tau, out=inv)
     np.reciprocal(inv, out=inv)
     np.multiply(weights, inv, out=terms)
-    return (terms.sum(axis=1) - 1.0, np.multiply(terms, inv, out=inv).sum(axis=1),
-            np.abs(terms, out=terms).sum(axis=1))
+    return (np.add.reduce(terms, -1) - 1.0, np.add.reduce(np.multiply(terms, inv, out=inv), -1),
+            np.add.reduce(np.abs(terms, out=terms), -1))
 
 
 def _stops(tau, h, nxt, spread, own_term):
@@ -311,7 +315,7 @@ def _far_sums(spectrum, gamma: float, x: float):
 
 
 def _solve_row(spectrum, gamma: float, bracket: int, work):
-    """One row of _solve_brackets on Python floats; work holds three (1, K) rows.
+    """One row of _solve_brackets on Python floats; work holds three rows of K floats.
 
     _solve_block's algorithm with each of its operations on the row done as
     the same IEEE operation in the same order, so the root and F' are bitwise
@@ -332,18 +336,18 @@ def _solve_row(spectrum, gamma: float, bracket: int, work):
     if bracket > 0:
         centre = 0.5 * (float(levels[bracket - 1]) + float(levels[bracket]))
         upto = cut if abs(centre) <= radius else size
-        dist = _pole_distances(gamma, levels[:upto], centre, inv[:, :upto])
-        f_mid = np.divide(weights[:upto], dist, out=dist).sum(axis=1).item()
+        dist = _pole_distances(gamma, levels[:upto], centre, inv[:upto])
+        f_mid = float(np.add.reduce(np.divide(weights[:upto], dist, out=dist)))
         if upto < size:
             f_mid += _far_sums(spectrum, gamma, centre)[0]
         own -= f_mid >= 1.0
     origin = float(levels[own])
-    _pole_distances(gamma, levels[:cut], origin, delta[:, :cut])
+    _pole_distances(gamma, levels[:cut], origin, delta[:cut])
     formed = cut    # delta holds the pole distances of the levels below this
     own_term = float(weights[own])
     if bracket > 0:
         other = bracket if own < bracket else bracket - 1
-        half = 0.5 * delta[0, other].item()
+        half = 0.5 * delta.item(other)
         lo, hi, end = min(half, 0.0), max(half, 0.0), half
         sign = 1.0 if hi > 0.0 else -1.0
         a_x, d = float(weights[other]), 2.0 * half
@@ -354,20 +358,20 @@ def _solve_row(spectrum, gamma: float, bracket: int, work):
         fit = [_float_signed_root(1.0, c - p * gamma + own_term, own_term * (p * gamma), -1.0)
                for c, p in zip(*_ground_fits(spectrum))]
         nxt = -math.sqrt(fit[2] * min(fit[:2]))     # both fits' roots are negative
-    delta[0, own] = np.inf
+    delta[own] = np.inf
     nxt = nxt if lo < nxt < hi or nxt == end else 0.5 * (lo + hi)
     for _ in range(_MAX_ITER):
         tau = nxt
         if cut < size and abs(at := origin + tau / gamma) <= radius:
-            r1, rp, spread = (v.item() for v in _level_passes(
-                weights[:cut], delta[:, :cut], tau, inv[:, :cut], terms[:, :cut]))
+            r1, rp, spread = map(float, _level_passes(
+                weights[:cut], delta[:cut], tau, inv[:cut], terms[:cut]))
             far, far_slope = _far_sums(spectrum, gamma, at)
             r1, rp, spread = r1 + far, rp + far_slope, spread + far
         else:
             if formed < size:
-                _pole_distances(gamma, levels[formed:], origin, delta[:, formed:])
+                _pole_distances(gamma, levels[formed:], origin, delta[formed:])
                 formed = size
-            r1, rp, spread = (v.item() for v in _level_passes(weights, delta, tau, inv, terms))
+            r1, rp, spread = map(float, _level_passes(weights, delta, tau, inv, terms))
         h = tau * r1 - own_term
         nxt = _float_signed_root(rp, r1 - rp * tau, own_term, sign)
         done = _stops(tau, h, nxt, spread, own_term)
@@ -410,5 +414,7 @@ def lowest_two(spectrum: LevelSpectrum, gamma: float):
     Returns (e0, e1, fprime0, fprime1) without solving the full spectrum;
     gamma scans only need the two lowest states.
     """
-    (e0, e1), (fp0, fp1) = _solve_brackets(spectrum, gamma, [0, 1])
-    return float(e0), float(e1), float(fp0), float(fp1)
+    gamma, work = _coupling(gamma), np.empty((3, spectrum.num_levels))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        (e0, fp0), (e1, fp1) = (_solve_row(spectrum, gamma, b, work) for b in (0, 1))
+    return e0, e1, fp0, fp1

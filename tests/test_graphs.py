@@ -156,6 +156,21 @@ def test_lattice_level_build_peak():
     assert _peak_bytes(level_spectrum, graph) < 5.5 * 8 * entries
 
 
+@pytest.mark.parametrize("label, degree", [
+    ("complete:2", 1), ("complete:1024", 1023), ("hypercube:1", 1), ("hypercube:62", 62),
+    ("lattice:1:3", 2), ("lattice:3:10", 6), ("lattice:62:2", 124), ("lattice:2:1024", 4),
+])
+def test_m1_is_the_vertex_degree(label, degree):
+    # m1 = sum_k w_k E_k = tr(-L)/N, the degree (side-2 rings count their double
+    # edge); the level sum agrees with it to 2 ulp, the energies' own rounding
+    ls = levels(label)
+    assert ls.m1 == degree
+    if ls.num_vertices <= 1024:
+        assert np.all(np.diag(neg_laplacian(family(label))) == degree)
+    level_sum = math.fsum(m * e for m, e in zip(ls.multiplicities.tolist(), ls.energies.tolist()))
+    assert abs(level_sum / ls.num_vertices - degree) <= 2 * np.spacing(float(degree))
+
+
 def test_side_two_levels_are_the_binomial_closed_form():
     # the hypercube is n rings of side 2 with one edge each, lattice:n:2 with two
     for n in range(1, 63):
@@ -307,7 +322,7 @@ def test_labels_round_trip():
 ])
 def test_freeze_checks_the_level_invariants(energies, multiplicities, num_vertices, message):
     with pytest.raises(AssertionError, match=message):
-        qwsearch.graphs._freeze(energies, multiplicities, num_vertices)
+        qwsearch.graphs._freeze(energies, multiplicities, num_vertices, degree=2)
 
 
 def test_spectrum_is_immutable():

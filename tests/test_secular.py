@@ -12,6 +12,7 @@ from _shared import (
     IDENTITY_GAMMA_FACTORS,
     RANDOM_FAMILIES,
     _peak_bytes,
+    family,
     ground_and_gap,
     levels,
     levels_without_far_field,
@@ -30,6 +31,7 @@ from qwsearch import (
     SecularPoleError,
     amplitude,
     amplitudes,
+    critical_reference,
     default_time_horizon,
     green_integral,
     level_spectrum,
@@ -478,6 +480,29 @@ def test_lowest_two_matches_array_path(label):
     for j, gamma in enumerate(gammas.tolist()):
         two = slice(2 * j, 2 * j + 2)
         assert lowest_two(ls, gamma) == (*roots[two], *fprimes[two])
+
+
+def test_lowest_two_matches_brackets_past_the_array_path():
+    # above FAR_FIELD_LEVELS only rows run, so no array path checks lowest_two
+    # there; its direct row solves agree bit for bit with _solve_brackets on the
+    # same two brackets, at ground roots on both sides of the far-field radius
+    inside = set()
+    for label in ("lattice:3:128", "lattice:2:1024"):
+        ls, ref = levels(label), critical_reference(family(label))
+        assert ls.num_levels > qwsearch.graphs.FAR_FIELD_LEVELS
+        for gamma in (0.5 * ref, 0.9 * ls.s1, ls.s1, 1.1 * ls.s1, 2.0 * ref):
+            roots, fprimes = qwsearch.secular._solve_brackets(ls, gamma, [0, 1])
+            two = lowest_two(ls, gamma)
+            assert two == (*roots.tolist(), *fprimes.tolist())
+            inside.add(abs(two[0] / gamma) <= ls.far_radius)
+        for gamma in (math.nan, 0, -1, 1e101):
+            with pytest.raises(ValueError) as direct:
+                lowest_two(ls, gamma)
+            with pytest.raises(ValueError) as rows:
+                qwsearch.secular._solve_brackets(ls, gamma, [0, 1])
+            message = f"gamma must lie in [1e-100, 1e100], got {gamma}"
+            assert str(direct.value) == str(rows.value) == message
+    assert inside == {True, False}
 
 
 @pytest.mark.parametrize("label", ["lattice:3:32", "lattice:2:64", "complete:1024",
