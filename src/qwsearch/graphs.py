@@ -31,10 +31,8 @@ LEVEL_GROUP_TOL = 16 * np.finfo(float).eps
 # peak of about 41 bytes each (5.4 MB for the 131841 of lattice:2:1024), 2^24 is
 # about 0.7 GB, far above the largest builds in use, 4:100 and 2:2048 (5.3e5).
 MAX_LEVEL_MULTISETS = 1 << 24
-# Above this many levels the secular kernel sums the levels from a cut on by
-# their moments.  It is the most levels at which secular._solve_block can run
-# (2^16 // 13108 = 4 rows = secular._NARROW), so the far field meets only the
-# row path, and the two paths stay bitwise equal wherever both can run.
+# Above this many levels (2^16 // 5) the secular kernel sums the levels from a
+# cut on by their moments, and steps every root of them on its row path.
 FAR_FIELD_LEVELS = 13107
 # The cut E_c is the first level at or above 1/16 of the top one, and the far
 # levels' series in x = E/gamma serves |x| <= rho E_c, rho = FAR_RADIUS.  With

@@ -30,13 +30,6 @@ from .graphs import LevelSpectrum
 _BLOCK = 1 << 16
 # Steps a root may take before the kernel reports non-convergence.
 _MAX_ITER = 64
-# Blocks of at most this many rows step each row on Python floats: on a few
-# rows the array path's per-row arithmetic is about 50 numpy calls a step, at
-# about 1 us each whatever their size.  On a 2-vCPU host (Python 3.11, numpy
-# 2.4), rows split between brackets 0 and 1 at S1: at K = 44 and 145 two rows
-# took 75-83 us on floats against 237-255 us on arrays, and arrays caught up
-# between 6 and 8 rows (6 and 10 at K = 6017); at K = 8321 floats led at 12.
-_NARROW = 4
 
 
 class SecularPoleError(ValueError):
@@ -99,12 +92,11 @@ def _solve_brackets(spectrum: LevelSpectrum, gamma, brackets) -> tuple[np.ndarra
     gamma is one coupling for every row or one coupling per row.  Bracket 0
     is (-inf, 0); bracket i > 0 is (gamma*E_{i-1}, gamma*E_i).  No row's
     arithmetic depends on the other rows, so a root comes out the same
-    whichever brackets and couplings are solved with it.  Blocks of at most
-    _NARROW rows step each row on Python floats (_solve_row), and wider
-    blocks of at most _BLOCK entries go to _solve_block, with the same IEEE
-    operations in the same order, so both paths return bitwise-equal roots.
-    Only rows step where K > graphs.FAR_FIELD_LEVELS, and there _solve_row sums
-    the far levels by their moments near x = E/gamma = 0.
+    whichever brackets and couplings are solved with it.  Levels with a far
+    field (K > graphs.FAR_FIELD_LEVELS) step each row on Python floats
+    (_solve_row), the one path that sums it; all others go to _solve_block in
+    blocks of at most _BLOCK entries.  Both paths do the same IEEE operations
+    in the same order, so they return bitwise-equal roots.
     """
     brackets = np.asarray(brackets, dtype=int)
     gammas = np.full(brackets.shape, gamma, dtype=float)
@@ -112,16 +104,16 @@ def _solve_brackets(spectrum: LevelSpectrum, gamma, brackets) -> tuple[np.ndarra
         _coupling(g)
     roots = np.empty(len(brackets))
     fprimes = np.empty(len(brackets))
-    rows = min(len(brackets), max(1, _BLOCK // spectrum.num_levels))
-    # Every block works in one allocation of three row blocks (delta and two
-    # workspaces): block arrays freed one by one let malloc hand the top of
-    # its heap back to the system, and the next block page-faults it in again.
-    work = np.empty((3, rows, spectrum.num_levels) if rows > _NARROW else (3, spectrum.num_levels))
-    if rows <= _NARROW:
+    if spectrum.far_moments:
+        work = np.empty((3, spectrum.num_levels))
         with np.errstate(divide="ignore", invalid="ignore"):
             for i in range(len(brackets)):
                 roots[i], fprimes[i] = _solve_row(spectrum, float(gammas[i]), int(brackets[i]), work)
         return roots, fprimes
+    rows = max(1, min(len(brackets), _BLOCK // spectrum.num_levels))
+    # One allocation serves every block (delta and two workspaces): arrays freed
+    # block by block let malloc hand its heap top back, to be page-faulted in again.
+    work = np.empty((3, rows, spectrum.num_levels))
     for i in range(0, len(brackets), rows):
         block = slice(i, i + rows)
         roots[block], fprimes[block] = _solve_block(spectrum, gammas[block], brackets[block], work)
@@ -315,13 +307,13 @@ def _far_sums(spectrum, gamma: float, x: float):
 
 
 def _solve_row(spectrum, gamma: float, bracket: int, work):
-    """One row of _solve_brackets on Python floats; work holds three rows of K floats.
+    """One root and its F' on Python floats; work holds three rows of K floats.
 
     _solve_block's algorithm with each of its operations on the row done as
     the same IEEE operation in the same order, so the root and F' are bitwise
     equal; the passes over the levels are the same numpy calls on one row.
-    Levels with a far field (more than graphs.FAR_FIELD_LEVELS, where
-    _solve_block never runs) split at far_start: in a bracket below it, at a
+    Levels with a far field (more than graphs.FAR_FIELD_LEVELS), whose roots
+    only this path solves, split at far_start: in a bracket below it, at a
     point x = E/gamma with |x| <= far_radius, the passes run over the levels
     below far_start and _far_sums adds the rest, R also to the spread of the
     stopping bound.  Elsewhere they run over all levels, whose pole distances
@@ -412,7 +404,9 @@ def lowest_two(spectrum: LevelSpectrum, gamma: float):
     """Ground and first-excited relevant roots with their F' values.
 
     Returns (e0, e1, fprime0, fprime1) without solving the full spectrum;
-    gamma scans only need the two lowest states.
+    gamma scans only need the two lowest states.  Both roots step on Python
+    floats (_solve_row): at S1 on a 2-vCPU host they took 85-99 us there and
+    292-322 us on the block path (about 50 numpy calls a step), K = 44 and 145.
     """
     gamma, work = _coupling(gamma), np.empty((3, spectrum.num_levels))
     with np.errstate(divide="ignore", invalid="ignore"):

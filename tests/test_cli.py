@@ -508,6 +508,19 @@ def test_temp_name_collision_keeps_the_other_file(tmp_path, monkeypatch, capsys)
     assert Path(taken[0]).read_text() == "not ours"
 
 
+def test_failed_rename_removes_the_temp_file(tmp_path, capsys):
+    # an artifact path taken by a directory fails the rename; the temp file
+    # goes, the artifact written before it stays, and no manifest is written
+    (tmp_path / "spectrum_summary.json").mkdir()
+    rc = main(["spectrum", "--graph", "lattice:2:4", "--gamma", "1",
+               "--output-dir", str(tmp_path)])
+    assert rc == 3
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert (err["type"], err["graph"]) == ("computation", "lattice:2:4")
+    assert sorted(os.listdir(tmp_path)) == ["spectrum.csv", "spectrum_summary.json"]
+    assert os.listdir(tmp_path / "spectrum_summary.json") == []
+
+
 def test_readme_examples_parse():
     readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                           "README.md")

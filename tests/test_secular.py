@@ -282,11 +282,9 @@ def test_batched_couplings_match_lowest_two(label):
 
 
 def test_far_field_only_on_the_row_path(monkeypatch):
-    # the far field starts where a 2^16-entry block holds at most _NARROW rows,
-    # so _solve_block never meets it, and the row and array paths agree bit for
-    # bit wherever both can run; 1-D lattices of side 2K - 2 have K levels
+    # levels with a far field step every bracket on the row path, so
+    # _solve_block never meets it; 1-D lattices of side 2K - 2 have K levels
     limit = qwsearch.graphs.FAR_FIELD_LEVELS
-    assert qwsearch.secular._BLOCK // (limit + 1) <= qwsearch.secular._NARROW
     below = level_spectrum(GraphFamily.lattice(1, 2 * limit - 2))
     assert below.num_levels == limit == below.far_start and below.far_moments == ()
     above = level_spectrum(GraphFamily.lattice(1, 2 * limit))
@@ -299,6 +297,24 @@ def test_far_field_only_on_the_row_path(monkeypatch):
     brackets = np.arange(0, above.num_levels, 1000)
     roots, _ = qwsearch.secular._solve_brackets(above, above.s1, brackets)
     assert roots[0] < 0.0 and np.all(roots[1:] > 0.0)
+
+
+@pytest.mark.parametrize("label", ["complete:2", "hypercube:3", "lattice:2:16", "lattice:1:26212"])
+def test_bracket_calls_without_far_field_take_blocks(label, monkeypatch):
+    # below the far field every call to _solve_brackets, of any width, runs on
+    # _solve_block; lattice:1:26212 has K = FAR_FIELD_LEVELS, the most levels
+    # without a far field
+    ls = levels(label)
+    assert not ls.far_moments
+
+    def row(*args):
+        raise AssertionError("a bracket call without a far field reached _solve_row")
+
+    monkeypatch.setattr(qwsearch.secular, "_solve_row", row)
+    for width in (1, 2, 4, 5):
+        brackets = np.resize(np.arange(ls.num_levels), width)
+        roots, _ = qwsearch.secular._solve_brackets(ls, ls.s1, brackets)
+        assert np.all((roots < 0.0) == (brackets == 0))
 
 
 @pytest.mark.parametrize("label", ["lattice:5:40", "lattice:1:26216"])
@@ -336,6 +352,8 @@ def test_far_field_leaves_other_points_bitwise():
     # -1/(1e-3 S1), far outside the radius, and every step passes over all levels
     # as without the far field; brackets from the cut on never use it.  (The
     # excited root lies below gamma*E_1, inside the radius at any coupling.)
+    # The levels rebuilt without a far field run on blocks, so this compares
+    # far-field rows with blocks.
     ls, off = levels("lattice:5:40"), levels_without_far_field("lattice:5:40")
     assert 1 < ls.far_start < ls.num_levels == off.far_start
     for gamma, brackets in ((1e-3 * ls.s1, [0, ls.far_start, ls.num_levels - 1]),
@@ -429,7 +447,7 @@ def test_inner_root_on_interval_midpoint(label):
     assert e1 == 0.5 * (gamma * ls.energies[1])
     assert abs(fp1 - secular_derivative(ls, gamma, e1)) <= 4.0 * math.ulp(fp1)
     assert steps_to_converge(ls, gamma, 1) <= 2
-    rows = qwsearch.secular._NARROW + 1
+    rows = 5
     roots, fprimes = qwsearch.secular._solve_brackets(ls, gamma, [1] * rows)
     assert roots.tolist() == [e1] * rows and fprimes.tolist() == [fp1] * rows
 
@@ -470,10 +488,10 @@ def test_roots_converge_within_nine_steps(label, monkeypatch):
 @pytest.mark.parametrize("label", BENCHMARK_FAMILIES[:14])
 def test_lowest_two_matches_array_path(label):
     # lowest_two steps its two rows on Python floats; the same rows in one call
-    # at every coupling take the array path, and agree bit for bit from weak to
-    # strong coupling and across the coupling-sweep window
+    # at every coupling take the array path (no far field), and agree bit for
+    # bit from weak to strong coupling and across the coupling-sweep window
     ls = levels(label)
-    assert qwsearch.secular._BLOCK // ls.num_levels > qwsearch.secular._NARROW
+    assert not ls.far_moments
     gammas = scan_center(label) * np.r_[np.geomspace(1e-6, 1e6, 25), np.linspace(0.5, 1.5, 41)]
     roots, fprimes = qwsearch.secular._solve_brackets(
         ls, np.repeat(gammas, 2), np.tile([0, 1], len(gammas)))
@@ -555,17 +573,17 @@ def test_lowest_two_solve_secular_equation(label, factor):
                      min_size=1, max_size=2))
 def test_narrow_rows_match_array_rows(label, rows):
     # one or two brackets anywhere in the spectrum, each at its own coupling,
-    # step on Python floats; padded past the crossover, the same rows take
+    # step on Python floats; padded with more rows, the same brackets take
     # the array path, with rows that finish at other steps.  Rows share no
     # arithmetic, so the two paths agree bit for bit.
     ls = levels(label)
-    narrow = qwsearch.secular._NARROW
     brackets = [int(u * ls.num_levels) for u, _ in rows]
     gammas = [f * scan_center(label) for _, f in rows]
-    pad = np.resize(np.arange(ls.num_levels), narrow + 1).tolist()
-    assert len(rows) <= narrow < qwsearch.secular._BLOCK // ls.num_levels
-    roots, fprimes = qwsearch.secular._solve_brackets(ls, gammas, brackets)
+    pad = np.resize(np.arange(ls.num_levels), 5).tolist()
+    assert not ls.far_moments
+    work = np.empty((3, ls.num_levels))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        narrow = [qwsearch.secular._solve_row(ls, g, b, work) for g, b in zip(gammas, brackets)]
     wide_roots, wide_fprimes = qwsearch.secular._solve_brackets(
         ls, gammas + [scan_center(label)] * len(pad), brackets + pad)
-    assert roots.tolist() == wide_roots[:len(rows)].tolist()
-    assert fprimes.tolist() == wide_fprimes[:len(rows)].tolist()
+    assert narrow == list(zip(wide_roots[:len(rows)].tolist(), wide_fprimes[:len(rows)].tolist()))
