@@ -4,11 +4,9 @@ Four related quantities control the search transition on d-dimensional
 periodic lattices:
 
 * green_integral(j, d): the Brillouin-zone integral of 1/E(k)^j, finite for
-  d > 2j.  Evaluated through the Laplace representation
-  (2d)^-j / (j-1)! * int_0^inf a^(j-1) e^-a [I0(a/d)]^d da with the
-  exponentially scaled Bessel function: a fixed composite Gauss-Legendre
-  rule on [0, QUAD_UPPER] (QUAD_NODES nodes on each of QUAD_PANELS
-  geometric panels), plus an asymptotic tail.
+  d > 2j: the Laplace integral (2d)^-j / (j-1)! * int_0^inf a^(j-1) e^-a
+  [I0(a/d)]^d da with the exponentially scaled Bessel function, on
+  QUAD_PANELS panels up to QUAD_UPPER, plus an asymptotic tail.
 * inverse_energy_sum(j, d, L): the exact finite-lattice sum
   (1/N) sum_{k != 0} E(k)^-j, which converges to the integral for d > 2j,
   grows like epstein_sum(j, d) * N^(2j/d - 1) for d < 2j, and picks up a
@@ -19,10 +17,11 @@ periodic lattices:
   (1/4 pi^2) (sum_{m != 0} x/(m^2 (m^2 - x)) - 1/x) whose negative root
   pins the rescaled ground-state energy for dim = 2, 3.
 
-The integer-lattice sums count vectors per squared norm by repeated 1d
-convolution through numpy's real FFT.  All tolerances and truncation radii
-here are implementation choices; each value carries an explicit error
-estimate.  The module needs numpy alone.
+The integer-lattice sums are Laplace integrals of theta(u)^d - 1, with
+theta(u) = sum_n e^(-u n^2) (Ewald 1921; Borwein et al., Lattice Sums Then
+and Now, 2013).  All three integrals go through one rule, QUAD_NODES-point
+Gauss-Legendre on geometric panels, whose error estimate is the same rule on
+the panels halved.  The module needs numpy alone.
 """
 
 from __future__ import annotations
@@ -39,11 +38,6 @@ from .graphs import GraphFamily, level_spectrum
 QUAD_UPPER = 2000.0          # switchover from quadrature to the asymptotic tail
 QUAD_PANELS = 13             # geometric panels [0, U 2^-12], [U 2^-12, U 2^-11], ..., [U/2, U]
 QUAD_NODES = 24              # Gauss-Legendre nodes per panel
-EPSTEIN_TARGET = 1e-7        # radius doubling stops below this drift
-SCALING_RADIUS = 200         # lattice-sum radius for the scaling function
-# Error of x0 from that radius: from radius 200 to 800 x0 moves by 1.3e-9 at
-# d = 2 and 1.4e-8 at d = 3, and at d = 3 each doubling moves it about 8x less.
-SCALING_ROOT_ERROR = 2e-8
 X_BRACKET_CAP = 1e6
 
 
@@ -66,8 +60,19 @@ def _panel_rule(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (lo + half * (nodes + 1.0)).ravel(), (half * weights).ravel()
 
 
-_COARSE_EDGES = np.r_[0.0, QUAD_UPPER * 2.0 ** np.arange(1 - QUAD_PANELS, 1)]
-_FINE_EDGES = np.sort(np.r_[_COARSE_EDGES, 0.5 * (_COARSE_EDGES[:-1] + _COARSE_EDGES[1:])])
+def _quadrature(terms, edges: np.ndarray, ulps: float, scale: float) -> tuple[float, float]:
+    """scale * the sum of terms(nodes, weights) under the rule on the panels
+    between edges, and its error estimate: the change on halving every panel,
+    plus `ulps` ulps of scale * sum |terms| for roundoff in the node values,
+    which rules where the two agree to the last bits (the sum itself is exact)."""
+    wf = terms(*_panel_rule(edges))
+    val = scale * compensated_sum(wf)
+    halved = np.sort(np.r_[edges, 0.5 * (edges[:-1] + edges[1:])])
+    err = abs(scale * compensated_sum(terms(*_panel_rule(halved))) - val)
+    return val, err + ulps * _EPS * (scale * float(np.sum(np.abs(wf))))
+
+
+_GREEN_EDGES = np.r_[0.0, QUAD_UPPER * 2.0 ** np.arange(1 - QUAD_PANELS, 1)]
 
 
 @lru_cache(maxsize=None)
@@ -77,21 +82,11 @@ def _green_integral_err(j: int, d: int) -> tuple[float, float]:
     if d <= 2 * j:
         raise DivergenceError(f"integral of E^-{j} diverges for d={d} <= 2j={2*j}")
     pref = 1.0 / ((2 * d) ** j * math.factorial(j - 1))
-
-    def rule(edges: np.ndarray) -> tuple[float, float]:
-        a, w = _panel_rule(edges)
-        x = a / d
-        wf = w * a ** (j - 1) * (np.i0(x) * np.exp(-x)) ** d
-        return pref * compensated_sum(wf), pref * float(np.sum(np.abs(wf)))
-
-    val, mass = rule(_COARSE_EDGES)
-    # The same rule on the panels halved estimates the quadrature error.  Where
-    # the two rules agree to the last bits, roundoff in the node values rules:
     # np.i0(x) e^-x is good to about 2.5 ulps and its d-th power to about d
-    # times that, so the estimate keeps a floor of 2d ulps of sum |w f| (the
-    # sum itself is exact).  Against a 30-digit integral the largest error seen
-    # on the tabulated (j, d) is 7.4 ulps, at d = 9.
-    err = abs(rule(_FINE_EDGES)[0] - val) + 2.0 * d * _EPS * mass
+    # times that, so the rounding floor is 2d ulps.  Against a 30-digit
+    # integral the largest error seen on the tabulated (j, d) is 7.4 ulps, at d = 9.
+    val, err = _quadrature(lambda a, w: w * a ** (j - 1) * (np.i0(a / d) * np.exp(-a / d)) ** d,
+                           _GREEN_EDGES, 2.0 * d, pref)
     # Tail from the Bessel asymptotics (i0e(x))^d ~ (2 pi x)^(-d/2) (1 + d/(8x) + ...):
     # the integrand decays like a^(j-1-d/2), integrable precisely when d > 2j.
     # Term i is c0 a_i U^(p-i) / (i - p), c0 = pref (d / 2 pi)^(d/2), and c0 a_i
@@ -123,50 +118,40 @@ def inverse_energy_sum(j: int, d: int, side: int) -> float:
 # Integer-lattice sums
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _norm_counts(dim: int, limit: int) -> np.ndarray:
-    """counts[n] = number of integer vectors in Z^dim with squared norm n."""
-    one = np.zeros(limit + 1)
-    one[0] = 1.0
-    squares = np.arange(1, int(math.isqrt(limit)) + 1) ** 2
-    one[squares] = 2.0
-    # Padding past the full linear length 2*limit + 1 keeps each product from
-    # wrapping around (one power of the kernel's spectrum would wrap for
-    # dim >= 3); a power of two keeps the transforms fast.
-    size = 1 << (2 * limit).bit_length()
-    kernel = np.fft.rfft(one, size)
-    counts = one
-    for _ in range(dim - 1):
-        counts = np.fft.irfft(np.fft.rfft(counts, size) * kernel, size)[: limit + 1]
-    return np.rint(counts)
+# Panels 2^-74, ..., 2^8 for the theta integrals.  Past 256, theta^d - 1 < 2.1 d e^-u,
+# so the dropped tail is below 1e-28 of an Epstein sum (j <= 90) or 1e-100 absolute.
+_THETA_EDGES = 2.0 ** np.arange(-74, 9)
 
 
-def _sphere_area(dim: int) -> float:
-    return 2.0 * math.pi ** (dim / 2.0) / math.gamma(dim / 2.0)
+def _theta_integral(d: int, kernel, power: int, scale: float) -> tuple[float, float]:
+    """scale * int_0^inf (theta(u)^d - 1) kernel(u) du, theta(u) = sum_n e^(-u n^2),
+    and its error estimate, for a kernel equal to kernel(delta) (u/delta)^power
+    on [0, delta], delta = _THETA_EDGES[0], to below an ulp."""
+    def terms(u: np.ndarray, w: np.ndarray) -> np.ndarray:
+        # theta(u) = sqrt(pi/u) theta(pi^2/u) (Poisson summation) below u = pi,
+        # so the series runs at s >= pi, where n = 5 would add e^(-25 pi) < 1e-34.
+        # theta^d - 1 as expm1(d log theta) does not cancel at large u.
+        s = np.maximum(u, math.pi**2 / u)
+        log_theta = np.log1p(2.0 * np.exp(-s[:, None] * np.arange(1, 5) ** 2).sum(axis=1))
+        log_theta += 0.5 * np.log(np.maximum(math.pi / u, 1.0))
+        return w * kernel(u) * np.expm1(d * log_theta)
 
-
-def _epstein_at(j: int, d: int, radius: int) -> float:
-    limit = radius * radius
-    counts = _norm_counts(d, limit)
-    norms = np.arange(1, limit + 1, dtype=float)
-    body = compensated_sum(counts[1:] / norms**j)
-    tail = _sphere_area(d) * radius ** (d - 2 * j) / (2 * j - d)
-    return (body + tail) / (2.0 * math.pi) ** (2 * j)
+    val, err = _quadrature(terms, _THETA_EDGES, 2.0 * d, scale)
+    # Below delta, theta^d - 1 is (pi/u)^(d/2) to within e^(-pi^2/delta) and
+    # the -1 adds below delta itself, so the head is taken in closed form.
+    delta = _THETA_EDGES[0]
+    head = kernel(delta) * math.pi ** (d / 2) * delta ** (1 - d / 2) / (power + 1 - d / 2)
+    return val + scale * float(head), err
 
 
 @lru_cache(maxsize=None)
 def _epstein_err(j: int, d: int) -> tuple[float, float]:
     if 2 * j <= d:
         raise DivergenceError(f"lattice sum of (m^2)^-{j} diverges for d={d} >= 2j={2*j}")
-    radius = 64
-    value = _epstein_at(j, d, radius)
-    drift = math.inf
-    while radius < 1024 and drift > EPSTEIN_TARGET:
-        radius *= 2
-        nxt = _epstein_at(j, d, radius)
-        drift = abs(nxt - value)
-        value = nxt
-    return value, max(drift, 1e-12)
+    # sum' (m^2)^-j = (1/(j-1)!) int_0^inf u^(j-1) (theta(u)^d - 1) du
+    value, err = _theta_integral(d, lambda u: u ** (j - 1), j - 1,
+                                 1.0 / ((2.0 * math.pi) ** (2 * j) * math.factorial(j - 1)))
+    return value, err + j * _EPS * value     # (2 pi)^2j carries j ulps of 2 pi's rounding
 
 
 def epstein_sum(j: int, d: int) -> float:
@@ -210,29 +195,25 @@ def log_law_intercept() -> float:
 # Rescaled critical functions and their negative root
 # ---------------------------------------------------------------------------
 
-def scaling_function(x: float, dim: int) -> float:
-    """(1/4 pi^2) * (sum_{m != 0} x/(m^2 (m^2 - x)) - 1/x) over Z^dim, x < 0.
-
-    Strictly increasing on the negative axis; diverges to +inf as x -> 0-.
-    Lattice points with |m| <= SCALING_RADIUS are summed exactly and the
-    remainder is replaced by its shell integral (absolute error below 1e-8
-    for |x| up to order 10^3).
-    """
+def _scaling_err(x: float, dim: int) -> tuple[float, float]:
     if dim not in (2, 3):
         raise ValueError(f"dim must be 2 or 3, got {dim}")
     if x >= 0.0:
         raise ValueError(f"the analysis needs x < 0, got {x}")
-    limit = SCALING_RADIUS * SCALING_RADIUS
-    counts = _norm_counts(dim, limit)
-    norms = np.arange(1, limit + 1, dtype=float)
-    body = float(np.sum(counts[1:] * x / (norms * (norms - x))))
-    ax = -x
-    r = float(SCALING_RADIUS)
-    if dim == 3:
-        tail = -4.0 * math.pi * math.sqrt(ax) * (math.pi / 2.0 - math.atan(r / math.sqrt(ax)))
-    else:
-        tail = -math.pi * math.log1p(ax / (r * r))
-    return (body + tail - 1.0 / x) / (4.0 * math.pi**2)
+    # sum' x/(m^2 (m^2 - x)) = int_0^inf (theta^dim - 1) expm1(x u) du; the head's
+    # expm1(x u) = x u holds to |x| delta / 2 < 3e-17 up to X_BRACKET_CAP.
+    val, err = _theta_integral(dim, lambda u: np.expm1(x * u), 1, 1.0)
+    # subtracting 1/x adds up to an ulp of it
+    return (val - 1.0 / x) / (4.0 * math.pi**2), (err + _EPS * abs(1.0 / x)) / (4.0 * math.pi**2)
+
+
+def scaling_function(x: float, dim: int) -> float:
+    """(1/4 pi^2) * (sum_{m != 0} x/(m^2 (m^2 - x)) - 1/x) over Z^dim, x < 0.
+
+    Strictly increasing on the negative axis; diverges to +inf as x -> 0-.
+    _scaling_err gives the value with its error estimate.
+    """
+    return _scaling_err(x, dim)[0]
 
 
 def scaling_function_root(a: float, dim: int) -> float:
@@ -267,6 +248,7 @@ class ConstantEntry:
 def build_constant_table() -> list[ConstantEntry]:
     """Every analytic constant the experiments rely on, with provenance."""
     entries: list[ConstantEntry] = []
+    panels = "panels 2^-74 to 2^8, closed-form head below 2^-74"
     for j in (1, 2):
         for d in range(2 * j + 1, 11):      # I(j, d) converges for d > 2j
             v, e = _green_integral_err(j, d)
@@ -276,8 +258,7 @@ def build_constant_table() -> list[ConstantEntry]:
     for d in (1, 2, 3):
         v, e = _epstein_err(2, d)
         entries.append(ConstantEntry("c", 2, d, None, None, v, e,
-                                     "radial lattice sum + shell-integral tail",
-                                     f"radius doubling from 64, drift <= {EPSTEIN_TARGET:g}"))
+                                     "theta-function integral", panels))
     fit = log_law_fit()
     for side, s1, est in zip(fit["sides"], fit["sums"], fit["per_size_estimates"]):
         entries.append(ConstantEntry("S", 1, 2, side * side, None, s1,
@@ -290,7 +271,8 @@ def build_constant_table() -> list[ConstantEntry]:
                                  f"sides {fit['sides']}"))
     for dim in (2, 3):
         x0 = scaling_function_root(0.0, dim)
-        entries.append(ConstantEntry("x0", None, dim, None, 0.0, x0, SCALING_ROOT_ERROR,
-                                     "Brent root of the rescaled secular function",
-                                     f"lattice radius {SCALING_RADIUS}"))
+        # the slope exceeds 1/(2 pi x)^2, and Brent stops within 4 ulps of the root
+        e = _scaling_err(x0, dim)[1] * (2.0 * math.pi * x0) ** 2 + 4.0 * _EPS * abs(x0)
+        entries.append(ConstantEntry("x0", None, dim, None, 0.0, x0, e,
+                                     "Brent root of the theta-integral secular function", panels))
     return entries

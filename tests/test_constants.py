@@ -4,7 +4,14 @@ import mpmath
 import numpy as np
 import pytest
 
-from _shared import _counting, dispersion_values, green_integral_bruteforce, round_sig
+from _shared import (
+    _counting,
+    dispersion_values,
+    epstein_sum_mp,
+    green_integral_bruteforce,
+    round_sig,
+    scaling_function_mp,
+)
 
 import qwsearch.constants
 from qwsearch import (
@@ -22,7 +29,7 @@ from qwsearch import (
     scaling_function,
     scaling_function_root,
 )
-from qwsearch.constants import LOG_LAW_SIDES, SCALING_RADIUS, _norm_counts
+from qwsearch.constants import LOG_LAW_SIDES, _scaling_err
 
 # Published 3-digit table for the convergent integrals.  The (2, 5) entry is
 # not reproducible from the defining integral: quadrature and finite-lattice
@@ -147,14 +154,41 @@ def _direct_epstein(j, d, radius):
     return (body + tail) / (2.0 * math.pi) ** (2 * j)
 
 
-@pytest.mark.parametrize("dim,limit", [(1, 200**2), (2, 200**2), (3, 50**2)])
-def test_norm_counts_match_direct_count(dim, limit):
-    radius = math.isqrt(limit)
-    axes = np.arange(-radius, radius + 1)
-    mesh = np.meshgrid(*([axes] * dim), indexing="ij")
-    norm_sq = sum(m**2 for m in mesh).ravel()
-    direct = np.bincount(norm_sq[norm_sq <= limit], minlength=limit + 1)
-    assert np.array_equal(_norm_counts(dim, limit), direct)
+def test_epstein_one_dimensional_to_rounding():
+    # 2 zeta(4) / (2 pi)^4 = 1/720
+    assert epstein_sum(2, 1) == pytest.approx(1.0 / 720.0, rel=1e-15, abs=0.0)
+
+
+def test_lattice_constants_within_estimates():
+    # each stated error estimate covers the distance to a 30-digit theta integral
+    def distance(value, exact):
+        with mpmath.workdps(30):
+            return float(abs(mpmath.mpf(value) - exact))
+
+    for e in build_constant_table():
+        if e.kind == "c":
+            assert distance(e.value, epstein_sum_mp(e.j, e.d)) <= e.error_estimate, e
+        if e.kind == "x0":
+            with mpmath.workdps(30):
+                exact = mpmath.findroot(lambda x: scaling_function_mp(x, e.d), mpmath.mpf(e.value))
+            assert distance(e.value, exact) <= e.error_estimate, e
+    for dim in (2, 3):
+        for x in (-0.5, -3.0, -40.0, -1e3, -1e6):
+            value, error = _scaling_err(x, dim)
+            assert distance(value, scaling_function_mp(x, dim)) <= error, (x, dim)
+
+
+def test_epstein_estimate_at_large_j():
+    # the nearest shells carry these sums, so a 40-digit sum over |m_i| <= 4 is
+    # exact to below 1e-17 relative; the panels reach u = 256, far past the peak at u = j
+    for j, d in ((15, 3), (30, 3), (60, 1)):
+        axes = np.arange(-4, 5)
+        norm_sq = sum(m**2 for m in np.meshgrid(*([axes] * d), indexing="ij")).ravel()
+        value, error = qwsearch.constants._epstein_err(j, d)
+        with mpmath.workdps(40):
+            exact = mpmath.fsum(mpmath.mpf(int(n)) ** -j for n in norm_sq if n)
+            exact /= (2 * mpmath.pi) ** (2 * j)
+            assert float(abs(mpmath.mpf(value) - exact)) <= error, (j, d)
 
 
 def test_epstein_matches_direct_summation():
@@ -264,29 +298,22 @@ def test_scaling_function_pole_and_monotonicity():
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
 
-def _direct_scaling_function(x, dim, radius=SCALING_RADIUS):
+def _direct_scaling_function_2d(x, radius):
+    # the points with |m| <= radius summed directly, the rest as a shell integral
     axes = np.arange(-radius, radius + 1, dtype=float)
-    total = 0.0
-    if dim == 3:
-        plane = (axes[:, None] ** 2 + axes[None, :] ** 2).ravel()
-        for a in axes:
-            norm_sq = plane + a * a
-            mask = (norm_sq > 0) & (norm_sq <= radius * radius)
-            n = norm_sq[mask]
-            total += float(np.sum(x / (n * (n - x))))
-        tail = -4.0 * math.pi * math.sqrt(-x) * (math.pi / 2.0 - math.atan(radius / math.sqrt(-x)))
-    else:
-        norm_sq = (axes[:, None] ** 2 + axes[None, :] ** 2).ravel()
-        mask = (norm_sq > 0) & (norm_sq <= radius * radius)
-        n = norm_sq[mask]
-        total = float(np.sum(x / (n * (n - x))))
-        tail = -math.pi * math.log1p(-x / radius**2)
-    return (total + tail - 1.0 / x) / (4.0 * math.pi**2)
+    norm_sq = (axes[:, None] ** 2 + axes[None, :] ** 2).ravel()
+    n = norm_sq[(norm_sq > 0) & (norm_sq <= radius * radius)]
+    tail = -math.pi * math.log1p(-x / radius**2)
+    return (float(np.sum(x / (n * (n - x)))) + tail - 1.0 / x) / (4.0 * math.pi**2)
 
 
 def test_scaling_function_matches_direct_summation():
-    for dim in (2, 3):
-        assert abs(scaling_function(-1.0, dim) - _direct_scaling_function(-1.0, dim)) < 1e-8
+    # d = 2: the radius-200 sum is 5.5e-10 from the 30-digit theta integral at
+    # x = -1.  d = 3: the radius-200 sum is 3.9e-8 off there, its shell tail
+    # blind to the lattice points' scatter about the sphere, so the reference
+    # is the 30-digit integral itself.
+    assert abs(scaling_function(-1.0, 2) - _direct_scaling_function_2d(-1.0, 200)) < 1e-8
+    assert abs(scaling_function(-1.0, 3) - float(scaling_function_mp(-1.0, 3))) < 1e-8
 
 
 def test_scaling_function_validation():
@@ -317,14 +344,6 @@ def test_root_at_zero_vs_plain_bisection():
         assert x0 == pytest.approx(0.5 * (lo + hi), abs=1e-8)
         assert x0 < 0.0
         assert abs(scaling_function(x0, dim)) < 1e-10
-
-
-def test_x0_estimate_covers_radius_truncation(monkeypatch):
-    # x0 at lattice radius 800 lies within the tabulated estimate of the radius-200 value
-    rows = {e.d: e for e in build_constant_table() if e.kind == "x0"}
-    monkeypatch.setattr(qwsearch.constants, "SCALING_RADIUS", 800)
-    for dim, row in rows.items():
-        assert abs(scaling_function_root(0.0, dim) - row.value) <= row.error_estimate
 
 
 def test_root_out_of_range():
